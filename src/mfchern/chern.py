@@ -274,30 +274,65 @@ class HomologyClass:
 def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
     """ch(E) = sum (1/(2i)!) str(At^(2i)) as normal-form representatives.
 
-    The odd-degree vanishing and the cycle condition df ^ str(At^i) = 0 are
-    re-verified on the way; a failure means the library is broken, not the
-    input, hence InternalConsistencyError.
+    At is odd, [[0, At01], [At10, 0]] in the (E0, E1) splitting, so
+    At^(2i) = diag(X^i, Y^i) with X = At01.At10 and Y = At10.At01, and
+
+        str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
+
+    while odd powers have zero diagonal blocks and are never formed.  Only
+    the diagonal of the last power of each chain is computed.  Two proved
+    identities are re-verified on the way: tr(Y^i) = -tr(X^i) (the graded
+    cyclicity of the trace for matrices of 1-forms) and the cycle condition
+    df ^ str(At^(2i)) = 0.  A failure means the library is broken, not the
+    input, hence InternalConsistencyError.  The dense path (atiyah_power,
+    supertrace) stays public as the independent oracle for this kernel.
     """
     conn = conn or connection_default(M)
     ctx = M.ctx
     n = ctx.nvars
     at = atiyah(M, conn)
+    a, b = at.block01, at.block10
+    half = n // 2
+    tr_x = _power_traces(fm_mul(a, b), half)
+    tr_y = _power_traces(fm_mul(b, a), half)
     df = df_form(M.f)
+    strs = [Form.from_poly(Poly.const(ctx, M.r0 - M.r1))]
+    for i, (tx, ty) in enumerate(zip(tr_x, tr_y), start=1):
+        if not (tx + ty).is_zero():
+            raise InternalConsistencyError(f"tr(Y^{i}) != -tr(X^{i})")
+        strs.append(tx - ty)
     entries = []
-    power = FormMatrix.identity(ctx, at.matrix.rows)
-    for i in range(0, n + 1):
-        if i > 0:
-            power = fm_mul(power, at.matrix)
-        s = supertrace(power, M.r0, M.r1)
-        if i % 2 == 1:
-            if not s.is_zero():
-                raise InternalConsistencyError(f"str(At^{i}) != 0 for odd {i}")
-            continue
+    for i, s in zip(range(0, n + 1, 2), strs):
         if not wedge(df, s).is_zero():
             raise InternalConsistencyError(f"df ^ str(At^{i}) != 0")
         rep = form_normal_form(s.scale(Fraction(1, math.factorial(i))), M.f)
         entries.append((i, rep))
     return HomologyClass(M.f, n, tuple(entries))
+
+
+def _power_traces(X: FormMatrix, top: int) -> list:
+    """[tr(X^1), ..., tr(X^top)]; of X^top only the diagonal is formed."""
+    if top == 0:
+        return []
+    traces = [graded_trace(X)]
+    power = X  # X^k with k = len(traces)
+    while len(traces) < top - 1:
+        power = fm_mul(power, X)
+        traces.append(graded_trace(power))
+    if top > 1:
+        traces.append(_trace_of_product(power, X))
+    return traces
+
+
+def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:
+    """tr(S.T) from the diagonal entries of the product alone."""
+    acc = Form.zero(S.ctx)
+    for i, srow in enumerate(S.entries):
+        for a, trow in zip(srow, T.entries):
+            b = trow[i]
+            if a.components and b.components:
+                acc = acc + wedge(a, b)
+    return acc
 
 
 # ---------------------------------------------------------------------------

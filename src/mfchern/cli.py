@@ -12,7 +12,7 @@ Complex documents carry "min_degree", "ranks" and "differentials"; ring map
 documents carry "source_vars", "target_vars" and "images".
 
 Exit codes: 0 success or pass, 1 a verification failed, 2 usage or parse
-problems.
+problems, 3 an internal consistency check failed (a library bug).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import sys
 
 from .chern import (
     Connection,
+    InternalConsistencyError,
     atiyah,
     atiyah_power,
     chern_character,
@@ -59,6 +60,7 @@ from .ring import ParseError, Poly, RingCtx, RingError, parse_poly, print_poly
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class DocumentError(ValueError):
@@ -523,6 +525,9 @@ def main(argv=None) -> int:
     except (ValidationError, RingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
+    except InternalConsistencyError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ the shuffle sign; anything of degree above the variable count is zero.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .ring import ParseError, Poly, RingCtx, RingError, _tokenize, _PolyParser, parse_poly, print_poly
@@ -29,8 +28,6 @@ class Form:
                 raise RingError("form index out of range")
             if p.ctx != ctx:
                 raise RingError("form coefficient in wrong ring")
-            if len(idx) > ctx.nvars:
-                continue  # unreachable given distinctness, kept for clarity
             if idx in acc:
                 acc[idx] = acc[idx] + p
             else:
@@ -42,6 +39,20 @@ class Form:
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
+
+    @classmethod
+    def _trusted(cls, ctx: RingCtx, components: dict) -> "Form":
+        """Internal constructor for results of arithmetic on valid Forms.
+
+        ``components`` must be a fresh dict from strictly increasing index
+        tuples to Polys of ``ctx``; only zero coefficients are dropped.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "ctx", ctx)
+        object.__setattr__(
+            w, "components", {i: p for i, p in components.items() if p.terms}
+        )
+        return w
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "Form":
@@ -81,19 +92,17 @@ class Form:
         acc = dict(self.components)
         for i, p in other.components.items():
             acc[i] = acc[i] + p if i in acc else p
-        return Form(self.ctx, acc)
+        return Form._trusted(self.ctx, acc)
 
     def __neg__(self) -> "Form":
-        return Form(self.ctx, {i: -p for i, p in self.components.items()})
+        return Form._trusted(self.ctx, {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
         """Multiply by a Poly or exact scalar."""
-        if isinstance(c, (int, Fraction)):
-            return Form(self.ctx, {i: p * c for i, p in self.components.items()})
-        return Form(self.ctx, {i: p * c for i, p in self.components.items()})
+        return Form._trusted(self.ctx, {i: p * c for i, p in self.components.items()})
 
     def __eq__(self, other):
         return (
@@ -111,7 +120,7 @@ class Form:
 
 def _shuffle_sign(a, b):
     """Sign of merging the disjoint increasing tuples a and b; 0 on overlap."""
-    if set(a) & set(b):
+    if not set(a).isdisjoint(b):
         return 0
     inv = sum(1 for x in a for y in b if x > y)
     return -1 if inv % 2 else 1
@@ -127,9 +136,11 @@ def wedge(a: Form, b: Form) -> Form:
             if sign == 0:
                 continue
             idx = tuple(sorted(i1 + i2))
-            p = p1 * p2 * sign
+            p = p1 * p2
+            if sign < 0:
+                p = -p
             acc[idx] = acc[idx] + p if idx in acc else p
-    return Form(a.ctx, acc)
+    return Form._trusted(a.ctx, acc)
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -369,13 +380,17 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
         raise RingError("mismatched ring contexts")
     if S.cols != T.rows:
         raise RingError(f"shape mismatch: {S.rows}x{S.cols} times {T.rows}x{T.cols}")
+    zero = Form.zero(S.ctx)
     out = []
-    for i in range(S.rows):
+    for srow in S.entries:
+        nonzero = [(a, T.entries[k]) for k, a in enumerate(srow) if a.components]
         row = []
         for j in range(T.cols):
-            acc = Form.zero(S.ctx)
-            for k in range(S.cols):
-                acc = acc + wedge(S.entries[i][k], T.entries[k][j])
+            acc = zero
+            for a, trow in nonzero:
+                b = trow[j]
+                if b.components:
+                    acc = acc + wedge(a, b)
             row.append(acc)
         out.append(row)
     return FormMatrix(S.ctx, S.rows, T.cols, out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
@@ -72,7 +73,7 @@ class RingCtx:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -110,6 +111,18 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _trusted(cls, ctx: RingCtx, terms: dict) -> "Poly":
+        """Internal constructor for results of arithmetic on valid Polys.
+
+        ``terms`` must be a fresh dict from valid monomials to Fractions;
+        only zero coefficients are dropped, nothing else is checked.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "ctx", ctx)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
+
+    @classmethod
     def zero(cls, ctx: RingCtx) -> "Poly":
         return cls(ctx)
 
@@ -145,7 +158,7 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise RingError("mismatched ring contexts")
 
     def __add__(self, other):
@@ -154,13 +167,13 @@ class Poly:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly(self.ctx, acc)
+            acc[m] = acc[m] + c if m in acc else c
+        return Poly._trusted(self.ctx, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,14 +185,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ctx, {m: c * other for m, c in self.terms.items()})
+            return Poly._trusted(self.ctx, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = monomial_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.ctx, acc)
+                c = c1 * c2
+                acc[m] = acc[m] + c if m in acc else c
+        return Poly._trusted(self.ctx, acc)
 
     __rmul__ = __mul__
 
@@ -399,14 +413,6 @@ def print_poly(p: Poly, ctx: RingCtx = None) -> str:
         else:
             out.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(out)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
 
 
 def partial_derivative(p: Poly, var_index: int) -> Poly:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from mfchern import (
     Connection,
     Form,
     FormMatrix,
+    InternalConsistencyError,
     Poly,
     PolyMatrix,
     RingMap,
@@ -38,9 +40,11 @@ from mfchern import (
     pushforward,
     random_connection,
     supertrace,
+    tensor,
     tensor_multiplicativity_check,
     zero_morphism,
 )
+from mfchern import chern
 from mfchern.mf import StrictMorphism
 
 from conftest import mf_1x1, rand_poly, ring
@@ -188,6 +192,93 @@ class TestChernCharacter:
         for M in corpus:
             C = cone(identity_morphism(M)).cone
             assert chern_character(C).is_zero()
+
+
+def _dense_chern(M, conn):
+    """ch through the dense path: full powers of At and their supertraces.
+
+    Odd supertraces are asserted to vanish on the way.
+    """
+    at = atiyah(M, conn)
+    out = []
+    for i in range(M.ctx.nvars + 1):
+        s = supertrace(atiyah_power(at, i), M.r0, M.r1)
+        if i % 2:
+            assert s.is_zero(), f"str(At^{i}) != 0"
+            continue
+        out.append((i, form_normal_form(s.scale(Fraction(1, math.factorial(i))), M.f)))
+    return tuple(out)
+
+
+def _koszul_tower(m):
+    """(x_i + 2*x_(i+1 mod m) | y_i) tensored over i < m: 2m variables,
+    ranks 2^(m-1) + 2^(m-1)."""
+    names = [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)]
+    ctx = ring(*names)
+    out = None
+    for i in range(m):
+        K = mf_1x1(ctx, f"x{i} + 2*x{(i + 1) % m}", f"y{i}")
+        out = K if out is None else tensor(out, K)
+    return out
+
+
+class TestDenseOracle:
+    """The block kernel of chern_character against the dense At^i path."""
+
+    def _check(self, M, seeds=(5, 6)):
+        conns = [connection_default(M)]
+        conns += [random_connection(M, random.Random(s)) for s in seeds]
+        for conn in conns:
+            assert chern_character(M, conn).entries == _dense_chern(M, conn)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_koszul_towers(self, m):
+        self._check(_koszul_tower(m))
+
+    def test_koszul_tower_n6_default_connection(self):
+        # random connections at n=6 make the normal forms too slow for a
+        # unit test; n <= 4 covers them
+        self._check(_koszul_tower(3), seeds=())
+
+    def test_threevar_example(self, threevar_example):
+        self._check(threevar_example)
+
+    def test_direct_sum(self, ctx_xy):
+        M = direct_sum(mf_1x1(ctx_xy, "x", "y"), mf_1x1(ctx_xy, "y", "x"))
+        self._check(direct_sum(M, mf_1x1(ctx_xy, "1", "x*y")))
+
+    def test_cones(self, ctx_x, threevar_example):
+        src = mf_1x1(ctx_x, "x^2", "x")
+        tgt = mf_1x1(ctx_x, "x", "x^2")
+        P = lambda s: parse_poly(s, ctx_x)
+        theta = StrictMorphism(
+            src, tgt,
+            PolyMatrix(ctx_x, 1, 1, [[P("1")]]),
+            PolyMatrix(ctx_x, 1, 1, [[P("x")]]),
+        )
+        self._check(cone(theta).cone)
+        self._check(cone(identity_morphism(threevar_example)).cone, seeds=(7,))
+
+    def test_unequal_ranks(self, ctx_xyz):
+        # the tensor unit has r0 = 1, r1 = 0: At01 is 1x0 and At10 is 0x1
+        U = mf_unit(ctx_xyz)
+        assert (U.r0, U.r1) == (1, 0)
+        self._check(U)
+        assert chern_character(U).component(0) == Form.from_poly(Poly.one(ctx_xyz))
+
+    def test_trace_identity_check_fires(self, koszul_xy, monkeypatch):
+        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly
+        M = koszul_xy
+        b = atiyah(M, connection_default(M)).block10
+        real = chern.fm_mul
+
+        def skewed(S, T):
+            P = real(S, T)
+            return P.scale(2) if S == b else P
+
+        monkeypatch.setattr(chern, "fm_mul", skewed)
+        with pytest.raises(InternalConsistencyError, match="tr\\(Y"):
+            chern_character(M)
 
 
 class TestAdditivity:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from mfchern import cli
+from mfchern.chern import InternalConsistencyError
 from mfchern.cli import main
 
 KOSZUL = {"vars": ["x", "y"], "f": "x*y", "A": [["x"]], "B": [["y"]]}
@@ -58,6 +60,17 @@ class TestChern:
         out = capsys.readouterr().out
         assert "deg 0: 0" in out
         assert "deg 2: dx^dy" in out
+
+    def test_internal_inconsistency_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(M, conn=None):
+            raise InternalConsistencyError("df ^ str(At^2) != 0")
+
+        monkeypatch.setattr(cli, "chern_character", broken)
+        path = write(tmp_path, "m.json", KOSZUL)
+        assert main(["chern", path]) == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: df ^ str(At^2) != 0\n"
+        assert "Traceback" not in err
 
     def test_contractible(self, tmp_path, capsys):
         doc = {"vars": ["x", "y"], "f": "x*y", "A": [["1"]], "B": [["x*y"]]}

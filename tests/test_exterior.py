@@ -16,7 +16,7 @@ from mfchern import (
     print_form,
     wedge,
 )
-from mfchern.ring import ParseError
+from mfchern.ring import ParseError, RingError
 
 from conftest import polys, rand_poly, ring
 
@@ -110,6 +110,35 @@ class TestFormSyntax:
         assert parse_form(print_form(w), CTX) == w
 
 
+class TestFormConstructorBoundary:
+    """The public constructor validates; arithmetic results skip it."""
+
+    def test_rejects_non_increasing_index_tuple(self):
+        one = Poly.one(CTX)
+        with pytest.raises(RingError, match="strictly increasing"):
+            Form(CTX, {(1, 0): one})
+        with pytest.raises(RingError, match="strictly increasing"):
+            Form(CTX, {(1, 1): one})
+
+    def test_rejects_out_of_range_index(self):
+        with pytest.raises(RingError, match="out of range"):
+            Form(CTX, {(3,): Poly.one(CTX)})
+        with pytest.raises(RingError, match="out of range"):
+            Form(CTX, {(-1,): Poly.one(CTX)})
+
+    def test_rejects_coefficient_from_wrong_ring(self):
+        other = ring("x", "y")
+        with pytest.raises(RingError, match="wrong ring"):
+            Form(CTX, {(0,): Poly.one(other)})
+
+    def test_arithmetic_results_are_canonical(self):
+        w = parse_form("x*dx + dy^dz", CTX)
+        assert (w - w).components == {}
+        assert w.scale(0).components == {}
+        v = parse_form("x*dx + y*dy", CTX)
+        assert wedge(v, v).components == {}
+
+
 def rand_form_matrix(rng, rows, cols, degree):
     from conftest import ring as _ring
     import itertools
@@ -150,6 +179,22 @@ class TestFormMatrix:
             T = rand_form_matrix(rng, 3, 2, 0)
             U = rand_form_matrix(rng, 2, 2, 1)
             assert fm_mul(fm_mul(S, T), U) == fm_mul(S, fm_mul(T, U))
+
+    def test_matches_entrywise_sum(self):
+        # fm_mul skips zero entries; the plain triple loop is the reference
+        rng = random.Random(13)
+        for _ in range(10):
+            S = rand_form_matrix(rng, 3, 2, 1)
+            T = rand_form_matrix(rng, 2, 3, 1)
+            ref = [
+                [
+                    wedge(S.entries[i][0], T.entries[0][j])
+                    + wedge(S.entries[i][1], T.entries[1][j])
+                    for j in range(3)
+                ]
+                for i in range(3)
+            ]
+            assert fm_mul(S, T) == FormMatrix(CTX, 3, 3, ref)
 
     def test_identity_neutral(self):
         rng = random.Random(9)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchern import ParseError, Poly, RingCtx, parse_poly, print_poly
+from mfchern import ParseError, Poly, RingCtx, RingError, parse_poly, print_poly
 from mfchern.ring import partial_derivative
 
 from conftest import polys, ring
@@ -72,6 +72,30 @@ class TestArithmetic:
         x = Poly.variable(CTX, 0)
         assert 2 * x + x == parse_poly("3*x", CTX)
         assert x * Fraction(1, 2) == parse_poly("1/2*x", CTX)
+
+
+class TestConstructorBoundary:
+    """The public constructor validates; arithmetic results skip it."""
+
+    def test_rejects_wrong_monomial_length(self):
+        with pytest.raises(RingError, match="length"):
+            Poly(CTX, {(1, 0): 1})
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(RingError, match="negative"):
+            Poly(CTX, {(1, -1, 0): 1})
+
+    def test_merges_and_drops_zero_terms(self):
+        p = Poly(CTX, [((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), 1)])
+        assert p.terms == {(0, 1, 0): Fraction(1)}
+
+    def test_arithmetic_results_are_canonical(self):
+        p = parse_poly("x + 2*y", CTX)
+        q = parse_poly("x - y", CTX)
+        assert (p - p).terms == {}
+        assert (p * 0).terms == {}
+        assert (p * q - q * p).terms == {}
+        assert all(isinstance(c, Fraction) for c in (p * q + 3).terms.values())
 
 
 class TestCalculus:
