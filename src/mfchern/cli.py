@@ -84,23 +84,37 @@ def _load(path) -> dict:
     return doc
 
 
+def _ring(names, where) -> RingCtx:
+    """The ring over variable names taken from the input at ``where``."""
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise DocumentError(f"{where} must be a list of strings")
+    try:
+        return RingCtx(tuple(names))
+    except RingError as e:
+        raise DocumentError(f"{where}: {e}") from None
+
+
 def _ctx(doc, path) -> RingCtx:
-    vs = doc.get("vars")
-    if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
-        raise DocumentError(f"{path}: 'vars' must be a list of strings")
-    return RingCtx(tuple(vs))
+    return _ring(doc.get("vars"), f"{path}: 'vars'")
 
 
-def _poly_matrix(ctx, rows_json, rows, cols, label, path) -> PolyMatrix:
+def _check_string_rows(rows_json, rows, cols, label, path):
+    """Raise unless ``rows_json`` is a rows x cols JSON matrix of strings."""
     if not isinstance(rows_json, list) or len(rows_json) != rows:
         raise DocumentError(f"{path}: '{label}' must have {rows} rows")
-    entries = []
     for i, row in enumerate(rows_json):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(
-                f"{path}: '{label}' row {i} must have {cols} entries"
+                f"{path}: '{label}'[{i}] must be a list of {cols} entries"
             )
-        entries.append([parse_poly(e, ctx) for e in row])
+        for j, e in enumerate(row):
+            if not isinstance(e, str):
+                raise DocumentError(f"{path}: '{label}'[{i}][{j}] must be a string")
+
+
+def _poly_matrix(ctx, rows_json, rows, cols, label, path) -> PolyMatrix:
+    _check_string_rows(rows_json, rows, cols, label, path)
+    entries = [[parse_poly(e, ctx) for e in row] for row in rows_json]
     return PolyMatrix(ctx, rows, cols, entries)
 
 
@@ -109,6 +123,10 @@ def _matfac_parts(ctx, doc, path):
     for key in ("f", "A", "B"):
         if key not in doc:
             raise DocumentError(f"{path}: missing '{key}'")
+    if not isinstance(doc["f"], str):
+        raise DocumentError(f"{path}: 'f' must be a string")
+    if not (isinstance(doc["A"], list) and isinstance(doc["B"], list)):
+        raise DocumentError(f"{path}: 'A' and 'B' must be lists of rows")
     f = parse_poly(doc["f"], ctx)
     r0, r1 = len(doc["A"]), len(doc["B"])
     A = _poly_matrix(ctx, doc["A"], r0, r1, "A", path)
@@ -179,8 +197,8 @@ def ringmap_from_doc(doc, path) -> RingMap:
     for key in ("source_vars", "target_vars", "images"):
         if key not in doc:
             raise DocumentError(f"{path}: missing '{key}'")
-    src = RingCtx(tuple(doc["source_vars"]))
-    tgt = RingCtx(tuple(doc["target_vars"]))
+    src = _ring(doc["source_vars"], f"{path}: 'source_vars'")
+    tgt = _ring(doc["target_vars"], f"{path}: 'target_vars'")
     images = tuple(parse_poly(s, tgt) for s in doc["images"])
     return RingMap(src, tgt, images)
 
@@ -189,18 +207,16 @@ def connection_from_doc(doc, path, M: MatFac) -> Connection:
     ctx = M.ctx
 
     def form_matrix(rows_json, size, label):
-        if not isinstance(rows_json, list) or len(rows_json) != size:
-            raise DocumentError(f"{path}: '{label}' must be {size}x{size}")
-        entries = []
-        for row in rows_json:
-            if len(row) != size:
-                raise DocumentError(f"{path}: '{label}' must be {size}x{size}")
-            entries.append([parse_form(e, ctx) for e in row])
+        _check_string_rows(rows_json, size, size, label, path)
+        entries = [[parse_form(e, ctx) for e in row] for row in rows_json]
         return FormMatrix(ctx, size, size, entries)
 
     g0 = form_matrix(doc.get("gamma0", []), M.r0, "gamma0")
     g1 = form_matrix(doc.get("gamma1", []), M.r1, "gamma1")
-    return Connection(M, g0, g1)
+    try:
+        return Connection(M, g0, g1)
+    except RingError as e:
+        raise DocumentError(f"{path}: {e}") from None
 
 
 def _write_doc(doc, out):
@@ -277,7 +293,7 @@ def cmd_pushforward(args) -> int:
 
 def cmd_embed(args) -> int:
     M = matfac_from_doc(_load(args.file), args.file)
-    new_ctx = RingCtx(tuple(args.vars))
+    new_ctx = _ring(args.vars, "--vars")
     _write_doc(matfac_to_doc(embed(M, new_ctx)), args.output)
     return EXIT_OK
 
@@ -300,7 +316,7 @@ def _infer_ctx(vars_opt, potential, form) -> RingCtx:
     import re
 
     if vars_opt:
-        return RingCtx(tuple(vars_opt))
+        return _ring(vars_opt, "--vars")
     ident = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
     seen = []
     for tok in ident.findall(potential):

@@ -1,21 +1,32 @@
 """Groebner bases for ideals in Q[x] and for submodules of the form modules.
 
-Everything here is deliberately elementary: Buchberger with the coprimality
-criterion and normal pair selection, exact arithmetic throughout.  The module
-variant uses a position-over-term order, positions being the k-subsets of
-variable indices in lexicographic order; it realizes the submodules
-``df ^ Omega^(k-1)`` whose quotients decide equality of homology classes.
+One Buchberger engine serves both: an ideal is a submodule of rank 1.
+Vectors are term dicts ``{(position, monomial): Fraction}`` ordered
+position-over-term (a lower position ranks higher); positions of a form
+module are the k-subsets of variable indices in lexicographic order, which
+realizes the submodules ``df ^ Omega^(k-1)`` whose quotients decide
+equality of homology classes.
+
+The engine keeps every generator monic with its lead computed once and
+memoizes order keys per run or per basis.  Its reducer takes the largest
+remaining term and either cancels it against a generator with the same lead
+position or moves it to the remainder; it never restarts or rebuilds the
+vector.
+S-pairs (same lead position only) wait in a heap, smallest lcm first, and
+are skipped by the chain criterion (Gebauer and Moeller 1988) and, in rank
+1 only, by the coprime criterion.  The reduced basis and full normal forms
+are unique, so the pair order changes the cost, never the result.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 
-from .exterior import Form, exterior_derivative, wedge
+from .exterior import Form, wedge
 from .ring import (
-    Monomial,
     Poly,
     RingCtx,
     RingError,
@@ -26,117 +37,195 @@ from .ring import (
 )
 
 
+class _Memo(dict):
+    """A dict that fills a missing entry with ``fn(key)`` and keeps it."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Basis:
+    """Engine form of a list of monic generators: ``gens[i]`` is
+    ``(pos, lm, tail)`` with ``tail`` the non-lead terms as a list of
+    ``((pos, m), c)``; ``by_pos`` lists ``(lm, tail)`` by lead position.
+    ``mono`` memoizes ``ctx.monomial_key`` and ``order`` the POT key of a
+    term ``(pos, m)``; a larger key is a larger term."""
+
+    def __init__(self, ctx: RingCtx, vectors=()):
+        self.mono = mono = _Memo(lambda m: ctx.monomial_key(m))
+        self.order = _Memo(lambda t: (-t[0], mono[t[1]]))
+        self.gens = []
+        self.by_pos = {}
+        for v in vectors:
+            self.add(_terms(v))
+
+    def add(self, terms: dict):
+        """Append the term dict ``terms``, made monic."""
+        if not terms:
+            raise RingError("a basis generator must be nonzero")
+        lead = max(terms, key=self.order.__getitem__)
+        lc = terms[lead]
+        tail = [(t, c if lc == 1 else c / lc) for t, c in terms.items() if t != lead]
+        pos, lm = lead
+        self.gens.append((pos, lm, tail))
+        self.by_pos.setdefault(pos, []).append((lm, tail))
+
+    def reduce(self, work: dict) -> dict:
+        """Full normal form of the term dict ``work``, which is consumed."""
+        key, by_pos, rem = self.order.__getitem__, self.by_pos, {}
+        while work:
+            t = max(work, key=key)
+            c = work.pop(t)
+            for lm, tail in by_pos.get(t[0], ()):
+                if monomial_divides(lm, t[1]):
+                    q, c = monomial_div(t[1], lm), -c
+                    _add_shifted(work, q, [(u, c * d) for u, d in tail])
+                    break
+            else:
+                rem[t] = c
+        return rem
+
+    def s_vector(self, i: int, j: int, lcm) -> dict:
+        """(lcm/lm_i) g_i - (lcm/lm_j) g_j without the cancelling leads."""
+        (_, lmi, tail_i), (_, lmj, tail_j) = self.gens[i], self.gens[j]
+        work = {}
+        _add_shifted(work, monomial_div(lcm, lmi), tail_i)
+        _add_shifted(work, monomial_div(lcm, lmj), [(u, -d) for u, d in tail_j])
+        return work
+
+
+def _add_shifted(work: dict, q, terms):
+    """work += x^q * terms in place, dropping the terms that cancel."""
+    for (p, m), d in terms:
+        s = (p, monomial_mul(q, m))
+        v = work.get(s)
+        if v is not None:
+            d += v
+            if not d:
+                del work[s]
+                continue
+        work[s] = d
+
+
+def _terms(v) -> dict:
+    return {(pos, m): c for pos, p in enumerate(v) for m, c in p.terms.items()}
+
+
+def _vector(terms: dict, rank: int, ctx: RingCtx) -> tuple:
+    comps = [{} for _ in range(rank)]
+    for (pos, m), c in terms.items():
+        comps[pos][m] = c
+    return tuple(Poly._trusted(ctx, d) for d in comps)
+
+
+def _reduced_basis(vectors, rank: int, ctx: RingCtx) -> tuple:
+    """Reduced Groebner basis of the rank-``rank`` vectors, sorted by lead."""
+    basis = _Basis(ctx)
+    mkey = basis.mono
+    gens = basis.gens
+    pairs, pending = [], set()
+
+    def add(terms):
+        basis.add(terms)
+        k = len(gens) - 1
+        pos, lm, _ = gens[k]
+        for t, h in enumerate(gens[:k]):
+            if h[0] == pos:
+                lcm = monomial_lcm(lm, h[1])
+                heappush(pairs, (mkey[lcm], pos, k, t, lcm))
+                pending.add((k, t))
+
+    for terms in map(_terms, vectors):
+        if terms:
+            add(terms)
+    while pairs:
+        _, pos, i, j, lcm = heappop(pairs)
+        pending.discard((i, j))
+        if rank == 1 and lcm == monomial_mul(gens[i][1], gens[j][1]):
+            continue  # coprime leads: the S-polynomial reduces to zero
+        if any(
+            k != i and k != j and g[0] == pos and monomial_divides(g[1], lcm)
+            and (max(i, k), min(i, k)) not in pending
+            and (max(j, k), min(j, k)) not in pending
+            for k, g in enumerate(gens)
+        ):
+            continue  # chain criterion
+        r = basis.reduce(basis.s_vector(i, j, lcm))
+        if r:
+            add(r)
+    # keep the minimal leads (the first of equal ones) and reduce their
+    # tails; a tail's normal form is the same modulo any Groebner basis
+    out = []
+    for i, (pos, lm, tail) in enumerate(gens):
+        if not any(
+            h[0] == pos and monomial_divides(h[1], lm) and (h[1] != lm or j < i)
+            for j, h in enumerate(gens) if j != i
+        ):
+            terms = basis.reduce(dict(tail))
+            terms[(pos, lm)] = Fraction(1)
+            out.append((pos, mkey[lm], terms))
+    out.sort(key=lambda g: g[:2])
+    return tuple(_vector(terms, rank, ctx) for _, _, terms in out)
+
+
+# ---------------------------------------------------------------------------
+# ideals: the rank-1 case
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     ctx: RingCtx
     generators: tuple  # tuple[Poly, ...], monic, reduced, sorted
+    _basis: _Basis = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_basis", _Basis(self.ctx, ((g,) for g in self.generators))
+        )
 
 
-def _reduce_once(p: Poly, gens) -> Poly:
-    """Full multivariate division remainder of p against monic gens."""
-    ctx = p.ctx
-    remainder = {}
-    work = dict(p.terms)
-    while work:
-        m = max(work, key=ctx.monomial_key)
-        c = work.pop(m)
-        for g in gens:
-            lm = g.leading_monomial()
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                # work -= c * x^q * g  (g is monic)
-                for gm, gc in g.terms.items():
-                    mm = monomial_mul(q, gm)
-                    if mm == m:
-                        continue
-                    work[mm] = work.get(mm, Fraction(0)) - c * gc
-                    if not work[mm]:
-                        del work[mm]
-                break
-        else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-    return Poly(ctx, remainder)
+def buchberger(gens, ctx: RingCtx) -> GroebnerBasis:
+    """Reduced Groebner basis; deterministic for a fixed input list."""
+    if any(g.ctx != ctx for g in gens):
+        raise RingError("generator in wrong ring context")
+    basis = _reduced_basis([(g,) for g in gens], 1, ctx)
+    return GroebnerBasis(ctx, tuple(v[0] for v in basis))
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     if p.ctx != gb.ctx:
         raise RingError("mismatched ring contexts")
-    if not gb.generators:
-        return p
-    return _reduce_once(p, gb.generators)
+    return _vector(gb._basis.reduce(_terms((p,))), 1, p.ctx)[0]
 
 
-def _s_poly(f: Poly, g: Poly) -> Poly:
-    lcm = monomial_lcm(f.leading_monomial(), g.leading_monomial())
-    mf = monomial_div(lcm, f.leading_monomial())
-    mg = monomial_div(lcm, g.leading_monomial())
-    ctx = f.ctx
-    tf = Poly(ctx, {mf: Fraction(1) / f.leading_coeff()})
-    tg = Poly(ctx, {mg: Fraction(1) / g.leading_coeff()})
-    return tf * f - tg * g
-
-
-def buchberger(gens, ctx: RingCtx) -> GroebnerBasis:
-    """Reduced Groebner basis; deterministic for a fixed input list."""
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    if any(g.ctx != ctx for g in basis):
-        raise RingError("generator in wrong ring context")
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        # normal strategy: smallest lcm in the ring order, ties by index
-        def lcm_key(pair):
-            i, j = pair
-            lcm = monomial_lcm(
-                basis[i].leading_monomial(), basis[j].leading_monomial()
-            )
-            return (ctx.monomial_key(lcm), i, j)
-
-        pairs.sort(key=lcm_key)
-        i, j = pairs.pop(0)
-        lmi, lmj = basis[i].leading_monomial(), basis[j].leading_monomial()
-        if monomial_mul(lmi, lmj) == monomial_lcm(lmi, lmj):
-            continue  # coprime leading terms: S-pair reduces to zero
-        r = _reduce_once(_s_poly(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        basis.append(r.monic())
-        k = len(basis) - 1
-        pairs.extend((k, t) for t in range(k))
-    return GroebnerBasis(ctx, _autoreduce(basis, ctx))
-
-
-def _autoreduce(basis, ctx):
-    # minimalize: drop generators whose lead is divisible by another's
-    basis = list(basis)
-    keep = []
-    for i, g in enumerate(basis):
-        lm = g.leading_monomial()
+def is_groebner(gb) -> bool:
+    """Verifier for a GroebnerBasis or ModuleGB: the generators are monic
+    and reduced, and every S-pair in a common lead position reduces to zero."""
+    basis = gb._basis
+    gens = basis.gens
+    vectors = gb.generators
+    if isinstance(gb, GroebnerBasis):
+        vectors = [(g,) for g in vectors]
+    for i, (v, (pos, lm, tail)) in enumerate(zip(vectors, gens)):
+        if _terms(v)[pos, lm] != 1:
+            return False
         if any(
-            monomial_divides(h.leading_monomial(), lm)
-            for j, h in enumerate(basis)
-            if j != i and (j < i or h.leading_monomial() != lm)
+            p == h[0] and monomial_divides(h[1], m)
+            for p, m in [(pos, lm)] + [t for t, _ in tail]
+            for j, h in enumerate(gens) if j != i
         ):
-            continue
-        keep.append(g)
-    # fully reduce each against the others
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _reduce_once(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.ctx.monomial_key(g.leading_monomial()))
-    return tuple(reduced)
-
-
-def is_groebner(gb: GroebnerBasis) -> bool:
-    """Verifier pass: every S-polynomial reduces to zero."""
-    gens = gb.generators
-    for i in range(len(gens)):
-        for j in range(i):
-            if not _reduce_once(_s_poly(gens[i], gens[j]), gens).is_zero():
-                return False
-    return True
+            return False
+    return all(
+        not basis.reduce(basis.s_vector(i, j, monomial_lcm(gens[i][1], gens[j][1])))
+        for i in range(len(gens))
+        for j in range(i)
+        if gens[i][0] == gens[j][0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,125 +237,24 @@ class ModuleGB:
     ctx: RingCtx
     ambient_rank: int
     generators: tuple  # tuple of vectors; vector = tuple[Poly, ...]
+    _basis: _Basis = field(init=False, compare=False, repr=False)
 
-
-def _vec_lead(v, ctx):
-    """Leading (position, monomial) under position-over-term order."""
-    for pos, p in enumerate(v):
-        if not p.is_zero():
-            return pos, p.leading_monomial(), p.leading_coeff()
-    return None
-
-
-def _vec_sub_scaled(v, w, mono, coeff, ctx):
-    """v - coeff * x^mono * w, componentwise."""
-    out = []
-    shift = Poly(ctx, {mono: coeff})
-    for a, b in zip(v, w):
-        out.append(a - shift * b)
-    return tuple(out)
-
-
-def _vec_is_zero(v):
-    return all(p.is_zero() for p in v)
-
-
-def _vec_monic(v, ctx):
-    lead = _vec_lead(v, ctx)
-    inv = Fraction(1) / lead[2]
-    return tuple(p * inv for p in v)
-
-
-def _vec_reduce(v, gens, ctx):
-    """Normal form of vector v against module generators (monic leads)."""
-    # iterate: reduce any reducible term in the leading position scheme
-    changed = True
-    v = tuple(v)
-    while changed and not _vec_is_zero(v):
-        changed = False
-        lead = _vec_lead(v, ctx)
-        # full tail reduction: scan every term of every position
-        for g in gens:
-            gpos, gmono, _ = _vec_lead(g, ctx)
-            comp = v[gpos]
-            for m in sorted(comp.terms, key=ctx.monomial_key, reverse=True):
-                if monomial_divides(gmono, m):
-                    q = monomial_div(m, gmono)
-                    v = _vec_sub_scaled(v, g, q, comp.terms[m], ctx)
-                    changed = True
-                    break
-            if changed:
-                break
-    return v
+    def __post_init__(self):
+        object.__setattr__(self, "_basis", _Basis(self.ctx, self.generators))
 
 
 def module_buchberger(vectors, ambient_rank: int, ctx: RingCtx) -> ModuleGB:
-    basis = [
-        _vec_monic(v, ctx) for v in vectors if not _vec_is_zero(v)
-    ]
-    for v in basis:
-        if len(v) != ambient_rank:
-            raise RingError("vector length does not match ambient rank")
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        def lcm_key(pair):
-            i, j = pair
-            li, lj = _vec_lead(basis[i], ctx), _vec_lead(basis[j], ctx)
-            if li[0] != lj[0]:
-                return (1, 0, 0, i, j)
-            return (0, ctx.monomial_key(monomial_lcm(li[1], lj[1])), li[0], i, j)
-
-        pairs.sort(key=lcm_key)
-        i, j = pairs.pop(0)
-        li, lj = _vec_lead(basis[i], ctx), _vec_lead(basis[j], ctx)
-        if li[0] != lj[0]:
-            continue  # S-pairs only within a common leading position
-        lcm = monomial_lcm(li[1], lj[1])
-        s = _vec_sub_scaled(
-            tuple(
-                Poly(ctx, {monomial_div(lcm, li[1]): Fraction(1)}) * p
-                for p in basis[i]
-            ),
-            basis[j],
-            monomial_div(lcm, lj[1]),
-            Fraction(1),
-            ctx,
-        )
-        r = _vec_reduce(s, basis, ctx)
-        if _vec_is_zero(r):
-            continue
-        basis.append(_vec_monic(r, ctx))
-        k = len(basis) - 1
-        pairs.extend((k, t) for t in range(k))
-    # minimal + reduced
-    keep = []
-    for i, v in enumerate(basis):
-        pos, mono, _ = _vec_lead(v, ctx)
-        dominated = False
-        for j, w in enumerate(basis):
-            if i == j:
-                continue
-            wpos, wmono, _ = _vec_lead(w, ctx)
-            if wpos == pos and monomial_divides(wmono, mono):
-                if wmono != mono or j < i:
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(v)
-    reduced = []
-    for i, v in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _vec_reduce(v, others, ctx) if others else v
-        if not _vec_is_zero(r):
-            reduced.append(_vec_monic(r, ctx))
-    reduced.sort(key=lambda v: (_vec_lead(v, ctx)[0], ctx.monomial_key(_vec_lead(v, ctx)[1])))
-    return ModuleGB(ctx, ambient_rank, tuple(reduced))
+    vectors = list(vectors)
+    if any(len(v) != ambient_rank for v in vectors):
+        raise RingError("vector length does not match ambient rank")
+    return ModuleGB(ctx, ambient_rank, _reduced_basis(vectors, ambient_rank, ctx))
 
 
 def module_normal_form(v, mgb: ModuleGB):
     if len(v) != mgb.ambient_rank:
         raise RingError("vector length does not match ambient rank")
-    return _vec_reduce(tuple(v), mgb.generators, mgb.ctx)
+    nf = mgb._basis.reduce(_terms(v))
+    return _vector(nf, mgb.ambient_rank, mgb.ctx)
 
 
 def k_subsets(ctx: RingCtx, k: int):

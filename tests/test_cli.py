@@ -89,6 +89,57 @@ class TestChern:
         assert capsys.readouterr().out == plain
 
 
+class TestDocumentErrors:
+    """Malformed documents exit 2 with the JSON path and no traceback."""
+
+    def run(self, tmp_path, capsys, doc, gamma=None):
+        argv = ["chern", write(tmp_path, "m.json", doc)]
+        if gamma is not None:
+            argv += ["--gamma", write(tmp_path, "g.json", gamma)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_non_string_matrix_entry(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", {**KOSZUL, "A": [[1]]})
+        assert main(["validate", path]) == cli.EXIT_USAGE
+        assert "'A'[0][0] must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("f", 1, "'f' must be a string"),
+        ("A", 1, "'A' and 'B' must be lists of rows"),
+    ])
+    def test_wrong_top_level_type(self, tmp_path, capsys, key, value, message):
+        code, err = self.run(tmp_path, capsys, {**KOSZUL, key: value})
+        assert code == cli.EXIT_USAGE and message in err
+
+    def test_non_list_matrix_row(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, {**KOSZUL, "B": ["y"]})
+        assert code == cli.EXIT_USAGE and "'B'[0] must be a list" in err
+
+    def test_non_string_gamma_entry(self, tmp_path, capsys):
+        gamma = {"gamma0": [[1]], "gamma1": [["dx"]]}
+        code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
+        assert code == cli.EXIT_USAGE and "'gamma0'[0][0] must be a string" in err
+
+    def test_duplicate_vars(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, {**KOSZUL, "vars": ["x", "x"]})
+        assert code == cli.EXIT_USAGE and "variable names must be unique" in err
+
+    def test_duplicate_vars_on_the_command_line(self, tmp_path, capsys):
+        argv = ["nf", "--potential", "x*y", "--form", "dx", "--vars", "x", "x"]
+        assert main(argv) == cli.EXIT_USAGE
+        path = write(tmp_path, "m.json", KOSZUL)
+        assert main(["embed", path, "--vars", "x", "y", "y"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("variable names must be unique") == 2
+
+    def test_zero_form_in_gamma(self, tmp_path, capsys):
+        gamma = {"gamma0": [["1"]], "gamma1": [["dx"]]}
+        code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
+        assert code == cli.EXIT_USAGE and "connection entries must be 1-forms" in err
+
+
 class TestTransforms:
     def test_shift_twice_byte_identical(self, tmp_path):
         # input written in the tool's own canonical format

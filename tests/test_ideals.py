@@ -15,11 +15,19 @@ from mfchern import (
     normal_form,
     parse_form,
     parse_poly,
+    print_poly,
+    wedge,
 )
-from mfchern.ideals import GroebnerBasis, module_buchberger
+from mfchern.ideals import (
+    GroebnerBasis,
+    ModuleGB,
+    df_form,
+    k_subsets,
+    module_buchberger,
+)
 from mfchern.ring import RingError
 
-from conftest import rand_poly, ring
+from conftest import corpus_list, rand_poly, ring
 
 CTX2 = ring("x", "y")
 CTX3 = ring("x", "y", "z")
@@ -213,3 +221,153 @@ class TestFormNormalForm:
             ]
             gb = buchberger(gens, CTX3)
             assert is_groebner(gb)
+
+
+# ---------------------------------------------------------------------------
+# df-image modules: the verifier and the sympy membership oracle
+# ---------------------------------------------------------------------------
+
+CTX4 = ring("x", "y", "z", "w")
+PRODUCT_POTENTIALS = (
+    "(x^3 + y*w)*(z^2 + x*w + y^2 + x)",
+    "(x^2 + y*w)*(z^2 + x*w + y^2 + z)",
+)
+
+
+def df_image_cases():
+    """(f, k) for every potential of the conftest corpus at every degree,
+    and for the 4-variable product potentials at k = 2..4."""
+    cases = []
+    for M in corpus_list(ring("x"), CTX2, CTX3):
+        for k in range(1, M.ctx.nvars + 1):
+            if (M.f, k) not in cases:
+                cases.append((M.f, k))
+    for text in PRODUCT_POTENTIALS:
+        cases.extend((parse_poly(text, CTX4), k) for k in (2, 3, 4))
+    return cases
+
+
+DF_IMAGE_CASES = df_image_cases()
+CASE_IDS = [f"{print_poly(f)}:k{k}" for f, k in DF_IMAGE_CASES]
+
+
+def df_image_vectors(f, k):
+    """The vectors df ^ dx_K, |K| = k - 1, that generate the submodule."""
+    ctx = f.ctx
+    subsets = k_subsets(ctx, k)
+    out = []
+    for K in k_subsets(ctx, k - 1):
+        w = wedge(df_form(f), Form(ctx, {K: Poly.one(ctx)}))
+        if not w.is_zero():
+            out.append(tuple(w.components.get(s, Poly.zero(ctx)) for s in subsets))
+    return out
+
+
+class TestModuleVerifier:
+    @pytest.mark.parametrize("f,k", DF_IMAGE_CASES, ids=CASE_IDS)
+    def test_every_df_image_basis_verifies(self, f, k):
+        assert is_groebner(df_image_module_gb(f, k))
+
+    def test_rejects_a_non_groebner_set(self):
+        x, y = (parse_poly(s, CTX2) for s in ("x^2 + y", "x*y"))
+        # the S-vector of the two gives y^2, which neither lead divides
+        assert not is_groebner(ModuleGB(CTX2, 2, ((x, x), (y, y))))
+        assert is_groebner(module_buchberger([(x, x), (y, y)], 2, CTX2))
+
+    def test_rejects_non_monic_and_non_reduced(self):
+        x, xy, one, zero = (parse_poly(s, CTX2) for s in ("x", "x*y", "1", "0"))
+        assert not is_groebner(ModuleGB(CTX2, 2, ((x * 2, zero),)))
+        assert not is_groebner(ModuleGB(CTX2, 2, ((x, zero), (xy, zero))))
+        assert not is_groebner(ModuleGB(CTX2, 2, ((x, xy), (zero, x))))
+        assert is_groebner(ModuleGB(CTX2, 2, ((x, one), (zero, x))))
+
+    def test_coprime_leads_in_a_module_still_pair(self):
+        # the coprime criterion holds for ideals only: here the S-vector of
+        # leads x and y is (0, y), which must join the basis
+        x, y, one, zero = (parse_poly(s, CTX2) for s in ("x", "y", "1", "0"))
+        mgb = module_buchberger([(x, one), (y, zero)], 2, CTX2)
+        assert is_groebner(mgb)
+        assert is_zero_vector(module_normal_form((zero, y), mgb))
+
+    def test_ideal_engine_is_the_rank_one_module_engine(self):
+        gens = [parse_poly("x^2 - y", CTX2), parse_poly("y^2 - x", CTX2)]
+        mgb = module_buchberger([(g,) for g in gens], 1, CTX2)
+        assert buchberger(gens, CTX2).generators == tuple(v[0] for v in mgb.generators)
+
+
+def to_sympy(p: Poly, xs):
+    from sympy import Mul, Rational
+
+    return sum(
+        (Rational(c.numerator, c.denominator) * Mul(*(x**e for x, e in zip(xs, m)))
+         for m, c in p.terms.items()),
+        Rational(0),
+    )
+
+
+def sympy_membership(vectors, ctx):
+    """Membership in the submodule the (nonempty list of) vectors generate,
+    decided by sympy."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(ctx.variables)
+
+    def convert(v):
+        return [to_sympy(p, xs) for p in v]
+
+    free = sympy.QQ.old_poly_ring(*xs).free_module(len(vectors[0]))
+    sub = free.submodule(*map(convert, vectors))
+    return lambda v: sub.contains(convert(v))
+
+
+def is_zero_vector(v) -> bool:
+    return all(p.is_zero() for p in v)
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("f,k", DF_IMAGE_CASES, ids=CASE_IDS)
+    def test_membership_agrees_with_sympy(self, f, k):
+        ctx = f.ctx
+        gens = df_image_vectors(f, k)
+        is_member = sympy_membership(gens, ctx)
+        rank = len(gens[0])
+        mgb = df_image_module_gb(f, k)
+        for v in gens:
+            assert is_zero_vector(module_normal_form(v, mgb))
+        rng = random.Random(f"{print_poly(f)}:{k}")
+        members = 0
+        for trial in range(8):
+            # random vectors on even trials, combinations of the generators
+            # on odd ones; the last combination is shifted off the submodule
+            v = [rand_poly(rng, ctx, max_deg=2, max_terms=2) for _ in range(rank)]
+            if trial % 2:
+                if trial < 7:
+                    v = [Poly.zero(ctx)] * rank
+                for g in gens:
+                    c = rand_poly(rng, ctx, max_deg=1, max_terms=2)
+                    v = [a + c * b for a, b in zip(v, g)]
+            nf = module_normal_form(v, mgb)
+            assert is_zero_vector(nf) == is_member(v)
+            # v - nf(v) always lies in the submodule
+            assert is_member([a - b for a, b in zip(v, nf)])
+            members += is_zero_vector(nf)
+        assert members >= 1
+
+    def test_random_modules_agree_with_sympy(self):
+        rng = random.Random(31)
+        for trial in range(20):
+            ctx = CTX2 if trial % 2 else CTX3
+            gens = [
+                tuple(rand_poly(rng, ctx, max_deg=2, max_terms=2) for _ in range(2))
+                for _ in range(rng.randint(2, 3))
+            ]
+            mgb = module_buchberger(gens, 2, ctx)
+            assert is_groebner(mgb)
+            gens = [v for v in gens if not is_zero_vector(v)]
+            if not gens:
+                continue
+            is_member = sympy_membership(gens, ctx)
+            probe = tuple(rand_poly(rng, ctx, max_deg=2, max_terms=2) for _ in range(2))
+            for v in gens + [probe]:
+                nf = module_normal_form(v, mgb)
+                assert is_zero_vector(nf) == is_member(v)
+                assert is_member([a - b for a, b in zip(v, nf)])
