@@ -16,6 +16,7 @@ from fractions import Fraction
 from .exterior import (
     Form,
     FormMatrix,
+    _wedge_sums,
     exterior_derivative,
     fm_exterior_derivative,
     fm_mul,
@@ -326,13 +327,7 @@ def _power_traces(X: FormMatrix, top: int) -> list:
 
 def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:
     """tr(S.T) from the diagonal entries of the product alone."""
-    acc = Form.zero(S.ctx)
-    for i, srow in enumerate(S.entries):
-        for a, trow in zip(srow, T.entries):
-            b = trow[i]
-            if a.components and b.components:
-                acc = acc + wedge(a, b)
-    return acc
+    return _wedge_sums(S.ctx, S.entries, T.entries, [[(i, i) for i in range(S.rows)]])[0]
 
 
 # ---------------------------------------------------------------------------

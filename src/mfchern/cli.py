@@ -25,7 +25,6 @@ from .chern import (
     Connection,
     InternalConsistencyError,
     atiyah,
-    atiyah_power,
     chern_character,
     cone_additivity_check,
     connection_default,
@@ -39,7 +38,7 @@ from .chern import (
     tensor_multiplicativity_check,
     RingMap,
 )
-from .exterior import Form, FormMatrix, parse_form, print_form, wedge
+from .exterior import Form, FormMatrix, fm_mul, parse_form, print_form, wedge
 from .ideals import df_form, form_normal_form
 from .mf import (
     ChainComplex,
@@ -155,18 +154,18 @@ def morphism_from_doc(doc, path) -> StrictMorphism:
         for key in ("source", "target"):
             if key not in doc:
                 raise DocumentError(f"{path}: missing '{key}'")
-        f = parse_poly(doc["f"], ctx) if "f" in doc else None
+            if not isinstance(doc[key], dict):
+                raise DocumentError(f"{path}: '{key}' must be an object")
         src = dict(doc["source"])
         tgt = dict(doc["target"])
-        if f is not None:
+        if "f" in doc:
+            if not isinstance(doc["f"], str):
+                raise DocumentError(f"{path}: 'f' must be a string")
+            parse_poly(doc["f"], ctx)  # checked even where both sides override it
             src.setdefault("f", doc["f"])
             tgt.setdefault("f", doc["f"])
-        _, As, Bs = _matfac_parts(ctx, src, path + "#source")
-        fs = parse_poly(src["f"], ctx)
-        _, At_, Bt = _matfac_parts(ctx, tgt, path + "#target")
-        ft = parse_poly(tgt["f"], ctx)
-        source = MatFac(ctx, fs, As, Bs)
-        target = MatFac(ctx, ft, At_, Bt)
+        source = MatFac(ctx, *_matfac_parts(ctx, src, path + "#source"))
+        target = MatFac(ctx, *_matfac_parts(ctx, tgt, path + "#target"))
     else:
         source = target = matfac_from_doc(doc, path)
     for key in ("alpha0", "alpha1"):
@@ -182,7 +181,17 @@ def complex_from_doc(doc, path) -> ChainComplex:
     for key in ("min_degree", "ranks", "differentials"):
         if key not in doc:
             raise DocumentError(f"{path}: missing '{key}'")
+    if type(doc["min_degree"]) is not int:
+        raise DocumentError(f"{path}: 'min_degree' must be an integer")
+    if not isinstance(doc["ranks"], list):
+        raise DocumentError(f"{path}: 'ranks' must be a list of integers")
     ranks = tuple(doc["ranks"])
+    for j, r in enumerate(ranks):
+        if type(r) is not int or r < 0:
+            raise DocumentError(f"{path}: 'ranks'[{j}] must be a non-negative integer")
+    count = max(len(ranks) - 1, 0)
+    if not isinstance(doc["differentials"], list) or len(doc["differentials"]) != count:
+        raise DocumentError(f"{path}: 'differentials' must be a list of {count} matrices")
     diffs = []
     for j, d in enumerate(doc["differentials"]):
         diffs.append(
@@ -190,7 +199,7 @@ def complex_from_doc(doc, path) -> ChainComplex:
                 ctx, d, ranks[j + 1], ranks[j], f"differentials[{j}]", path
             )
         )
-    return ChainComplex(ctx, int(doc["min_degree"]), ranks, tuple(diffs))
+    return ChainComplex(ctx, doc["min_degree"], ranks, tuple(diffs))
 
 
 def ringmap_from_doc(doc, path) -> RingMap:
@@ -199,6 +208,13 @@ def ringmap_from_doc(doc, path) -> RingMap:
             raise DocumentError(f"{path}: missing '{key}'")
     src = _ring(doc["source_vars"], f"{path}: 'source_vars'")
     tgt = _ring(doc["target_vars"], f"{path}: 'target_vars'")
+    if not isinstance(doc["images"], list) or len(doc["images"]) != src.nvars:
+        raise DocumentError(
+            f"{path}: 'images' must be a list of {src.nvars} strings, one per source variable"
+        )
+    for i, s in enumerate(doc["images"]):
+        if not isinstance(s, str):
+            raise DocumentError(f"{path}: 'images'[{i}] must be a string")
     images = tuple(parse_poly(s, tgt) for s in doc["images"])
     return RingMap(src, tgt, images)
 
@@ -346,9 +362,11 @@ def _suite_strictness(M, rng):
 
 def _suite_odd(M, rng):
     at = atiyah(M, connection_default(M))
-    for i in range(1, M.ctx.nvars + 1, 2):
-        s = supertrace(atiyah_power(at, i), M.r0, M.r1)
-        if not s.is_zero():
+    n = M.ctx.nvars
+    power = FormMatrix.identity(M.ctx, at.matrix.rows)
+    for i in range(1, n + n % 2):  # up to the largest odd i <= n
+        power = fm_mul(power, at.matrix)
+        if i % 2 and not supertrace(power, M.r0, M.r1).is_zero():
             return False, f"str(At^{i}) != 0"
     return True, "ok"
 
@@ -356,8 +374,11 @@ def _suite_odd(M, rng):
 def _suite_cycle(M, rng):
     at = atiyah(M, connection_default(M))
     df = df_form(M.f)
+    power = FormMatrix.identity(M.ctx, at.matrix.rows)
     for i in range(0, M.ctx.nvars + 1):
-        s = supertrace(atiyah_power(at, i), M.r0, M.r1)
+        if i:
+            power = fm_mul(power, at.matrix)
+        s = supertrace(power, M.r0, M.r1)
         if not wedge(df, s).is_zero():
             return False, f"df ^ str(At^{i}) != 0"
     return True, "ok"

@@ -7,6 +7,8 @@ the shuffle sign; anything of degree above the variable count is zero.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .ring import ParseError, Poly, RingCtx, RingError, _tokenize, _PolyParser, parse_poly, print_poly
@@ -118,29 +120,10 @@ class Form:
         return f"Form({print_form(self)!r})"
 
 
-def _shuffle_sign(a, b):
-    """Sign of merging the disjoint increasing tuples a and b; 0 on overlap."""
-    if not set(a).isdisjoint(b):
-        return 0
-    inv = sum(1 for x in a for y in b if x > y)
-    return -1 if inv % 2 else 1
-
-
 def wedge(a: Form, b: Form) -> Form:
     if a.ctx != b.ctx:
         raise RingError("mismatched ring contexts")
-    acc = {}
-    for i1, p1 in a.components.items():
-        for i2, p2 in b.components.items():
-            sign = _shuffle_sign(i1, i2)
-            if sign == 0:
-                continue
-            idx = tuple(sorted(i1 + i2))
-            p = p1 * p2
-            if sign < 0:
-                p = -p
-            acc[idx] = acc[idx] + p if idx in acc else p
-    return Form._trusted(a.ctx, acc)
+    return _wedge_sums(a.ctx, ((a,),), ((b,),), [((0, 0),)])[0]
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -380,20 +363,90 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
         raise RingError("mismatched ring contexts")
     if S.cols != T.rows:
         raise RingError(f"shape mismatch: {S.rows}x{S.cols} times {T.rows}x{T.cols}")
-    zero = Form.zero(S.ctx)
+    cols = T.cols
+    cells = [((i, j),) for i in range(S.rows) for j in range(cols)]
+    flat = _wedge_sums(S.ctx, S.entries, T.entries, cells)
+    return FormMatrix(
+        S.ctx, S.rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(S.rows)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the wedge-product kernel behind wedge, fm_mul and the trace of a product
+# ---------------------------------------------------------------------------
+
+def _flatten(w: Form) -> tuple:
+    """``((index, ((monomial, coeff), ...)), ...)`` for the components of w.
+
+    An integral coefficient becomes a plain ``int``, so products of integer
+    coefficients skip the ``Fraction`` machinery; others stay ``Fraction``.
+    """
+    return tuple(
+        (idx, tuple(
+            (m, c.numerator if c.denominator == 1 else c) for m, c in p.terms.items()
+        ))
+        for idx, p in w.components.items()
+    )
+
+
+def _merge(i1: tuple, i2: tuple):
+    """``(negate, index)`` with dx_i1 ^ dx_i2 = (-1)^negate dx_index, or None
+    when the index tuples overlap and the product vanishes."""
+    if not set(i1).isdisjoint(i2):
+        return None
+    inv = sum(1 for x in i1 for y in i2 if x > y)
+    return inv % 2 == 1, tuple(sorted(i1 + i2))
+
+
+def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
+    """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j].
+
+    S and T are grids (sequences of rows) of Forms of ``ctx`` with
+    len(S[i]) == len(T).  Every entry is flattened once, index merges and
+    monomial products are memoised for this call only, and each output
+    accumulates into one ``{index: {monomial: coeff}}`` dict that becomes a
+    Form at the end, its coefficients turned back into ``Fraction``.
+    """
+    fs = [[_flatten(a) for a in row] for row in S]
+    ft = [[_flatten(b) for b in row] for row in T]
+    nonzero = [[(a, ft[k]) for k, a in enumerate(row) if a] for row in fs]
+    merges = {}
+    monos = {}
     out = []
-    for srow in S.entries:
-        nonzero = [(a, T.entries[k]) for k, a in enumerate(srow) if a.components]
-        row = []
-        for j in range(T.cols):
-            acc = zero
-            for a, trow in nonzero:
+    for cell in cells:
+        acc = {}
+        for i, j in cell:
+            for a, trow in nonzero[i]:
                 b = trow[j]
-                if b.components:
-                    acc = acc + wedge(a, b)
-            row.append(acc)
-        out.append(row)
-    return FormMatrix(S.ctx, S.rows, T.cols, out)
+                if not b:
+                    continue
+                for ia, ta in a:
+                    for ib, tb in b:
+                        key = (ia, ib)
+                        if key in merges:
+                            merged = merges[key]
+                        else:
+                            merged = merges[key] = _merge(ia, ib)
+                        if merged is None:
+                            continue
+                        neg, idx = merged
+                        dst = acc.get(idx)
+                        if dst is None:
+                            dst = acc[idx] = {}
+                        for m1, c1 in ta:
+                            for m2, c2 in tb:
+                                mk = (m1, m2)
+                                if mk in monos:
+                                    m = monos[mk]
+                                else:
+                                    m = monos[mk] = tuple(map(add, m1, m2))
+                                c = -c1 * c2 if neg else c1 * c2
+                                dst[m] = dst[m] + c if m in dst else c
+        out.append(Form._trusted(ctx, {
+            idx: Poly._trusted(ctx, {m: Fraction(c) for m, c in terms.items() if c})
+            for idx, terms in acc.items()
+        }))
+    return out
 
 
 def fm_exterior_derivative(T: FormMatrix) -> FormMatrix:

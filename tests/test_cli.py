@@ -15,6 +15,15 @@ THREEVAR = {
     "B": [["x+y", "y"], ["x", "-z"]],
 }
 
+MORPHISM = {**KOSZUL, "alpha0": [["1"]], "alpha1": [["1"]]}
+
+COMPLEX = {
+    "vars": ["x", "y"],
+    "min_degree": 0,
+    "ranks": [1, 2],
+    "differentials": [[["y"], ["x"]]],
+}
+
 
 def write(tmp_path, name, doc):
     p = tmp_path / name
@@ -138,6 +147,30 @@ class TestDocumentErrors:
         gamma = {"gamma0": [["1"]], "gamma1": [["dx"]]}
         code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
         assert code == cli.EXIT_USAGE and "connection entries must be 1-forms" in err
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("cone", {**MORPHISM, "source": [1], "target": KOSZUL},
+         "'source' must be an object"),
+        ("fold", {**COMPLEX, "min_degree": "a"}, "'min_degree' must be an integer"),
+        ("fold", {**COMPLEX, "min_degree": 0.5}, "'min_degree' must be an integer"),
+        ("fold", {**COMPLEX, "ranks": 7}, "'ranks' must be a list of integers"),
+    ])
+    def test_malformed_transform_document(self, tmp_path, capsys, command, doc, message):
+        path = write(tmp_path, "d.json", doc)
+        assert main([command, path, "-o", str(tmp_path / "out.json")]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("images,message", [
+        ([3, "y"], "'images'[0] must be a string"),
+        (["x"], "'images' must be a list of 2 strings"),
+    ])
+    def test_malformed_ring_map(self, tmp_path, capsys, images, message):
+        rm = {"source_vars": ["x", "y"], "target_vars": ["x", "y"], "images": images}
+        argv = ["pushforward", write(tmp_path, "m.json", KOSZUL),
+                write(tmp_path, "rm.json", rm)]
+        assert main(argv) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 class TestTransforms:

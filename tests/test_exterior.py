@@ -202,3 +202,127 @@ class TestFormMatrix:
         I = FormMatrix.identity(CTX, 3)
         assert fm_mul(I, S) == S
         assert fm_mul(S, I) == S
+
+
+# ---------------------------------------------------------------------------
+# an independent reference for the wedge kernel behind wedge, fm_mul and the
+# trace of a product: public Poly + and * only, the sign of each basis
+# product from the parity of the permutation that sorts its indices
+# ---------------------------------------------------------------------------
+
+CTX4 = ring("x", "y", "z", "w")
+
+
+def _permutation_sign(perm):
+    """(-1)^(number of even-length cycles) of a permutation of range(n)."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _ref_wedge(a, b):
+    terms = []
+    for i1, p1 in a.components.items():
+        for i2, p2 in b.components.items():
+            word = i1 + i2
+            if len(set(word)) < len(word):
+                continue
+            perm = sorted(range(len(word)), key=word.__getitem__)
+            terms.append((tuple(sorted(word)), p1 * p2 * _permutation_sign(perm)))
+    return Form(a.ctx, terms)  # the public constructor sums repeated indices
+
+
+def _ref_sum(ctx, forms):
+    return Form(ctx, [c for w in forms for c in w.components.items()])
+
+
+def _ref_mul(S, T):
+    return [
+        [_ref_sum(S.ctx, [_ref_wedge(S.entries[i][k], T.entries[k][j])
+                          for k in range(S.cols)])
+         for j in range(T.cols)]
+        for i in range(S.rows)
+    ]
+
+
+def _rational_form(rng, ctx):
+    """Zero a quarter of the time; else up to three components of mixed
+    degree, coefficients with denominators up to 4."""
+    if rng.random() < 0.25:
+        return Form.zero(ctx)
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        idx = tuple(sorted(rng.sample(range(ctx.nvars), rng.randint(0, 3))))
+        terms = {
+            tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))
+        }
+        comps.append((idx, Poly(ctx, terms)))
+    return Form(ctx, comps)
+
+
+def _rational_matrix(rng, rows, cols):
+    return FormMatrix(
+        CTX4, rows, cols,
+        [[_rational_form(rng, CTX4) for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+def _coefficients(w):
+    return [c for p in w.components.values() for c in p.terms.values()]
+
+
+class TestWedgeKernelOracle:
+    def test_permutation_sign(self):
+        assert _permutation_sign([0, 1, 2]) == 1
+        assert _permutation_sign([1, 0, 2]) == -1
+        assert _permutation_sign([1, 2, 0]) == 1
+        assert _permutation_sign([3, 2, 1, 0]) == 1
+
+    def test_wedge(self):
+        rng = random.Random(41)
+        non_integral = 0
+        for _ in range(300):
+            a, b = _rational_form(rng, CTX4), _rational_form(rng, CTX4)
+            got = wedge(a, b)
+            assert got == _ref_wedge(a, b)
+            coeffs = _coefficients(got)
+            assert all(type(c) is Fraction for c in coeffs)
+            non_integral += sum(c.denominator > 1 for c in coeffs)
+        assert non_integral > 100  # the non-integral branch is exercised
+
+    @pytest.mark.parametrize("shape", [
+        (0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 2, 4), (4, 4, 4),
+    ])
+    def test_fm_mul(self, shape):
+        rng = random.Random(sum(shape))
+        r, k, c = shape
+        for _ in range(5):
+            S, T = _rational_matrix(rng, r, k), _rational_matrix(rng, k, c)
+            P = fm_mul(S, T)
+            assert (P.rows, P.cols) == (r, c)
+            assert P == FormMatrix(CTX4, r, c, _ref_mul(S, T))
+            for row in P.entries:
+                for e in row:
+                    assert all(type(x) is Fraction for x in _coefficients(e))
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 5])
+    def test_trace_of_product(self, size):
+        from mfchern.chern import _trace_of_product
+
+        rng = random.Random(100 + size)
+        for _ in range(5):
+            S, T = _rational_matrix(rng, size, size), _rational_matrix(rng, size, size)
+            ref = _ref_mul(S, T)
+            want = _ref_sum(CTX4, [ref[i][i] for i in range(size)])
+            got = _trace_of_product(S, T)
+            assert got == want
+            assert got == graded_trace(fm_mul(S, T))
