@@ -36,17 +36,6 @@ def _as_forms(P: PolyMatrix) -> FormMatrix:
     return FormMatrix.from_poly_rows(P.ctx, P.rows, P.cols, P.entries)
 
 
-def _block(ctx, blocks):
-    """Assemble a FormMatrix from a 2x2 grid of FormMatrix blocks."""
-    (tl, tr), (bl, br) = blocks
-    rows = []
-    for r1, r2 in zip(tl.entries, tr.entries):
-        rows.append(list(r1) + list(r2))
-    for r1, r2 in zip(bl.entries, br.entries):
-        rows.append(list(r1) + list(r2))
-    return FormMatrix(ctx, tl.rows + bl.rows, tl.cols + tr.cols, rows)
-
-
 @dataclass(frozen=True)
 class Connection:
     """d + Gamma on each graded piece of the underlying free module."""
@@ -139,10 +128,10 @@ def atiyah(M: MatFac, conn: Connection) -> AtiyahClass:
     A, B = _as_forms(M.A), _as_forms(M.B)
     at01 = fm_exterior_derivative(A) + fm_mul(conn.gamma0, A) - fm_mul(A, conn.gamma1)
     at10 = fm_exterior_derivative(B) + fm_mul(conn.gamma1, B) - fm_mul(B, conn.gamma0)
-    full = _block(ctx, (
-        (FormMatrix.zeros(ctx, M.r0, M.r0), at01),
-        (at10, FormMatrix.zeros(ctx, M.r1, M.r1)),
-    ))
+    full = FormMatrix.block2(
+        FormMatrix.zeros(ctx, M.r0, M.r0), at01,
+        at10, FormMatrix.zeros(ctx, M.r1, M.r1),
+    )
     return AtiyahClass(M, conn, full)
 
 
@@ -200,8 +189,8 @@ def phi_strictness_check(M: MatFac, conn: Connection = None, at: AtiyahClass = N
     ctx = M.ctx
     df = df_form(M.f)
     A, B = _as_forms(M.A), _as_forms(M.B)
-    df1 = _diag_form(ctx, df, M.r1)
-    df0 = _diag_form(ctx, df, M.r0)
+    df1 = FormMatrix.diagonal(ctx, M.r1, df)
+    df0 = FormMatrix.diagonal(ctx, M.r0, df)
     # bottom component of Abar . phi1 = phi0 . A:
     #   df * I_r1 - B . At01 = At10 . A
     lhs = df1 - fm_mul(B, at.block01)
@@ -215,14 +204,6 @@ def phi_strictness_check(M: MatFac, conn: Connection = None, at: AtiyahClass = N
     if lhs != rhs:
         return False, "second square fails: df*I - A.At10 != At01.B"
     return True, "ok"
-
-
-def _diag_form(ctx, w: Form, size: int) -> FormMatrix:
-    z = Form.zero(ctx)
-    return FormMatrix(
-        ctx, size, size,
-        [[w if i == j else z for j in range(size)] for i in range(size)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +330,13 @@ def classical_chern(e: PolyMatrix, ctx: RingCtx = None) -> Form:
     de = fm_exterior_derivative(E)
     de2 = fm_mul(de, de)
     n = ctx.nvars
-    total = Form.from_poly(_poly_trace(e))
+    total = Form.from_poly(e.trace())
     power = FormMatrix.identity(ctx, e.rows)
     for k in range(1, n // 2 + 1):
         power = fm_mul(power, de2)
         term = graded_trace(fm_mul(E, power)).scale(Fraction(1, math.factorial(k)))
         total = total + term
     return total
-
-
-def _poly_trace(P: PolyMatrix) -> Poly:
-    acc = Poly.zero(P.ctx)
-    for i in range(P.rows):
-        acc = acc + P.entries[i][i]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +347,15 @@ def cone_connection(theta: StrictMorphism, connP: Connection, connQ: Connection,
                     C: MatFac) -> Connection:
     """Block-diagonal connection on cone(theta): (Q1 + P0, Q0 + P1) pieces."""
     ctx = C.ctx
-    z01 = FormMatrix.zeros
-    g1 = _block(ctx, (
-        (connQ.gamma1, z01(ctx, connQ.gamma1.rows, connP.gamma0.cols)),
-        (z01(ctx, connP.gamma0.rows, connQ.gamma1.cols), connP.gamma0),
-    ))
-    g0 = _block(ctx, (
-        (connQ.gamma0, z01(ctx, connQ.gamma0.rows, connP.gamma1.cols)),
-        (z01(ctx, connP.gamma1.rows, connQ.gamma0.cols), connP.gamma1),
-    ))
+    z = FormMatrix.zeros
+    g1 = FormMatrix.block2(
+        connQ.gamma1, z(ctx, connQ.gamma1.rows, connP.gamma0.cols),
+        z(ctx, connP.gamma0.rows, connQ.gamma1.cols), connP.gamma0,
+    )
+    g0 = FormMatrix.block2(
+        connQ.gamma0, z(ctx, connQ.gamma0.rows, connP.gamma1.cols),
+        z(ctx, connP.gamma1.rows, connQ.gamma0.cols), connP.gamma1,
+    )
     return Connection(C, g0, g1)
 
 
@@ -461,14 +435,8 @@ def pushforward(M: MatFac, phi: RingMap) -> MatFac:
     if M.ctx != phi.source:
         raise RingError("matrix factorization not over the map's source ring")
     tgt = phi.target
-    A = PolyMatrix(
-        tgt, M.A.rows, M.A.cols,
-        [[phi.apply(e) for e in row] for row in M.A.entries],
-    )
-    B = PolyMatrix(
-        tgt, M.B.rows, M.B.cols,
-        [[phi.apply(e) for e in row] for row in M.B.entries],
-    )
+    A = M.A.map_entries(phi.apply, tgt)
+    B = M.B.map_entries(phi.apply, tgt)
     return MatFac(tgt, phi.apply(M.f), A, B)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-from .ring import ParseError, Poly, RingCtx, RingError, _tokenize, _PolyParser, parse_poly, print_poly
+from .ring import Matrix, ParseError, Poly, RingCtx, RingError, _tokenize, _PolyParser, print_poly
 
 
 class Form:
@@ -59,6 +59,10 @@ class Form:
     @classmethod
     def zero(cls, ctx: RingCtx) -> "Form":
         return cls(ctx)
+
+    @classmethod
+    def one(cls, ctx: RingCtx) -> "Form":
+        return cls(ctx, {(): Poly.one(ctx)})
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Form":
@@ -140,7 +144,7 @@ def exterior_derivative(a: Form) -> Form:
             new = tuple(sorted(idx + (i,)))
             q = dp * sign
             acc[new] = acc[new] + q if new in acc else q
-    return Form(a.ctx, acc)
+    return Form._trusted(a.ctx, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,44 +269,15 @@ def _is_atomic(ptxt: str):
 # matrices of forms
 # ---------------------------------------------------------------------------
 
-class FormMatrix:
-    """Rectangular matrix of forms; products wedge entrywise.
+class FormMatrix(Matrix):
+    """Rectangular matrix of forms; products wedge entrywise (:func:`fm_mul`).
 
     Parity bookkeeping for graded-endomorphism use is supplied by callers
     (block sizes are passed to the supertrace), not enforced here.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
-
-    def __init__(self, ctx: RingCtx, rows: int, cols: int, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise RingError("entry grid does not match declared shape")
-        for row in entries:
-            for e in row:
-                if e.ctx != ctx:
-                    raise RingError("entry in wrong ring context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, ctx, rows, cols):
-        z = Form.zero(ctx)
-        return cls(ctx, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, ctx, size):
-        one = Form.from_poly(Poly.one(ctx))
-        z = Form.zero(ctx)
-        return cls(
-            ctx, size, size,
-            [[one if i == j else z for j in range(size)] for i in range(size)],
-        )
+    __slots__ = ()
+    _kind = Form
 
     @classmethod
     def from_poly_rows(cls, ctx, rows, cols, poly_rows):
@@ -311,51 +286,9 @@ class FormMatrix:
             [[Form.from_poly(p) for p in row] for row in poly_rows],
         )
 
-    def __add__(self, other: "FormMatrix") -> "FormMatrix":
-        self._shape_eq(other)
-        return FormMatrix(
-            self.ctx, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self):
-        return FormMatrix(
-            self.ctx, self.rows, self.cols,
-            [[-e for e in row] for row in self.entries],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "FormMatrix":
-        return FormMatrix(
-            self.ctx, self.rows, self.cols,
-            [[e.scale(c) for e in row] for row in self.entries],
-        )
-
-    def _shape_eq(self, other):
-        if self.ctx != other.ctx:
-            raise RingError("mismatched ring contexts")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise RingError("shape mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormMatrix)
-            and self.ctx == other.ctx
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, self.entries))
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __repr__(self):
-        return f"FormMatrix({self.rows}x{self.cols})"
+        """Multiply every entry by a Poly or exact scalar."""
+        return self.map_entries(lambda e: e.scale(c))
 
 
 def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
@@ -450,16 +383,7 @@ def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
 
 
 def fm_exterior_derivative(T: FormMatrix) -> FormMatrix:
-    return FormMatrix(
-        T.ctx, T.rows, T.cols,
-        [[exterior_derivative(e) for e in row] for row in T.entries],
-    )
+    return T.map_entries(exterior_derivative)
 
 
-def graded_trace(T: FormMatrix) -> Form:
-    if T.rows != T.cols:
-        raise RingError("trace of a non-square matrix")
-    acc = Form.zero(T.ctx)
-    for i in range(T.rows):
-        acc = acc + T.entries[i][i]
-    return acc
+graded_trace = FormMatrix.trace

@@ -8,57 +8,19 @@ modules are allowed (empty matrices), so the tensor unit (0 <=> Q) exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ring import Poly, RingCtx, RingError
+from .ring import Matrix, Poly, RingCtx, RingError
 
 
 class ValidationError(ValueError):
     """A construction failed its defining identity; carries the location."""
 
 
-class PolyMatrix:
+class PolyMatrix(Matrix):
     """Immutable rectangular matrix of polynomials with explicit shape."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
-
-    def __init__(self, ctx: RingCtx, rows: int, cols: int, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if rows < 0 or cols < 0:
-            raise RingError("negative matrix shape")
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise RingError("entry grid does not match declared shape")
-        for row in entries:
-            for e in row:
-                if not isinstance(e, Poly) or e.ctx != ctx:
-                    raise RingError("matrix entry in wrong ring context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, ctx, rows, cols):
-        z = Poly.zero(ctx)
-        return cls(ctx, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, ctx, size):
-        one, z = Poly.one(ctx), Poly.zero(ctx)
-        return cls(
-            ctx, size, size,
-            [[one if i == j else z for j in range(size)] for i in range(size)],
-        )
-
-    @classmethod
-    def from_rows(cls, ctx, rows):
-        rows = [list(r) for r in rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        return cls(ctx, nr, nc, rows)
+    __slots__ = ()
+    _kind = Poly
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ctx != other.ctx:
@@ -78,29 +40,8 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.ctx, self.rows, other.cols, out)
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise RingError("shape mismatch")
-        return PolyMatrix(
-            self.ctx, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self):
-        return PolyMatrix(
-            self.ctx, self.rows, self.cols,
-            [[-e for e in row] for row in self.entries],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, p) -> "PolyMatrix":
-        return PolyMatrix(
-            self.ctx, self.rows, self.cols,
-            [[e * p for e in row] for row in self.entries],
-        )
+        return self.map_entries(lambda e: e * p)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product, left factor major (basis e_i (x) f_j)."""
@@ -117,42 +58,6 @@ class PolyMatrix:
                             self.entries[i][j] * other.entries[a][b]
                         )
         return PolyMatrix(self.ctx, rows, cols, out)
-
-    @classmethod
-    def block2(cls, tl, tr, bl, br):
-        """Assemble [[tl, tr], [bl, br]]; shapes must be consistent."""
-        ctx = tl.ctx
-        if tl.rows != tr.rows or bl.rows != br.rows:
-            raise RingError("row mismatch in block assembly")
-        if tl.cols != bl.cols or tr.cols != br.cols:
-            raise RingError("column mismatch in block assembly")
-        rows = []
-        for r1, r2 in zip(tl.entries, tr.entries):
-            rows.append(list(r1) + list(r2))
-        for r1, r2 in zip(bl.entries, br.entries):
-            rows.append(list(r1) + list(r2))
-        return cls(ctx, tl.rows + bl.rows, tl.cols + tr.cols, rows)
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.ctx == other.ctx
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, self.entries))
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        grid = [[fn(e) for e in row] for row in self.entries]
-        return PolyMatrix(self.ctx, self.rows, self.cols, grid)
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols})"
 
 
 def _check_f_identity(prod: PolyMatrix, f: Poly, label: str):
@@ -190,10 +95,6 @@ class MatFac:
             raise RingError("A and B shapes are not transposes of each other")
         _check_f_identity(self.A * self.B, self.f, "A*B != f*I")
         _check_f_identity(self.B * self.A, self.f, "B*A != f*I")
-
-
-def mf_new(ctx: RingCtx, f: Poly, A: PolyMatrix, B: PolyMatrix) -> MatFac:
-    return MatFac(ctx, f, A, B)
 
 
 def mf_unit(ctx: RingCtx) -> MatFac:
@@ -520,22 +421,13 @@ def _paste(grid, blk: PolyMatrix, row_off: int, col_off: int):
 
 def embed(M: MatFac, new_ctx: RingCtx) -> MatFac:
     """Re-express M over a ring whose variables include all of M's."""
-    from .ring import Poly as _P
-
     idx = [new_ctx.var_index(v) for v in M.ctx.variables]
-    images = tuple(_P.variable(new_ctx, i) for i in idx)
+    images = tuple(Poly.variable(new_ctx, i) for i in idx)
 
     def conv(p):
         return p.substitute(new_ctx, images)
 
     return MatFac(
         new_ctx, conv(M.f),
-        PolyMatrix(
-            new_ctx, M.A.rows, M.A.cols,
-            [[conv(e) for e in row] for row in M.A.entries],
-        ),
-        PolyMatrix(
-            new_ctx, M.B.rows, M.B.cols,
-            [[conv(e) for e in row] for row in M.B.entries],
-        ),
+        M.A.map_entries(conv, new_ctx), M.B.map_entries(conv, new_ctx),
     )

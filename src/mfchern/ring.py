@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add, le, sub
 from typing import Iterable, Mapping, Union
 
@@ -24,6 +25,11 @@ Scalar = Union[int, Fraction]
 _ORDERS = ("degrevlex", "lex", "grlex")
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# The parser refuses a power p^e whose expansion could exceed this many
+# terms: C(t+e-1, e) for a base of t terms.  A document can otherwise ask
+# for an expansion that never finishes, e.g. "(x+y+1)^400" (80601 terms).
+MAX_POWER_TERMS = 1000
 
 
 class RingError(ValueError):
@@ -230,8 +236,9 @@ class Poly:
                 continue
             dm = list(m)
             dm[var_index] = e - 1
-            acc[tuple(dm)] = acc.get(tuple(dm), Fraction(0)) + c * e
-        return Poly(self.ctx, acc)
+            # m -> dm is injective on the monomials with e > 0
+            acc[tuple(dm)] = c * e
+        return Poly._trusted(self.ctx, acc)
 
     def leading_monomial(self) -> Monomial:
         if self.is_zero():
@@ -347,7 +354,14 @@ class _PolyParser:
                 raise ParseError("negative exponent")
             if tok[0] != "int":
                 raise ParseError(f"expected integer exponent, got {tok!r}")
-            p = p ** tok[1]
+            t, e = len(p.terms), tok[1]
+            size = comb(t + e - 1, e) if t > 1 else 1
+            if size > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"power ^{e} of a {t}-term base could expand to "
+                    f"{size} terms (limit {MAX_POWER_TERMS})"
+                )
+            p = p ** e
         return p
 
     def base(self) -> Poly:
@@ -415,5 +429,126 @@ def print_poly(p: Poly, ctx: RingCtx = None) -> str:
     return " ".join(out)
 
 
-def partial_derivative(p: Poly, var_index: int) -> Poly:
-    return p.partial_derivative(var_index)
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
+
+class Matrix:
+    """Immutable rectangular matrix over a ring context, with explicit shape.
+
+    Subclasses fix the entry type in ``_kind`` (a class with ``ctx``,
+    ``zero(ctx)``, ``one(ctx)``, ``+``, unary ``-`` and ``is_zero``) and add
+    their own products and scaling.
+    """
+
+    __slots__ = ("ctx", "rows", "cols", "entries")
+    _kind = None
+
+    def __init__(self, ctx: RingCtx, rows: int, cols: int, entries):
+        entries = tuple(tuple(row) for row in entries)
+        if rows < 0 or cols < 0:
+            raise RingError("negative matrix shape")
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise RingError("entry grid does not match declared shape")
+        kind = self._kind
+        for row in entries:
+            for e in row:
+                if not isinstance(e, kind):
+                    raise RingError(
+                        f"{type(self).__name__} entry must be a {kind.__name__}, "
+                        f"not {type(e).__name__}"
+                    )
+                if e.ctx is not ctx and e.ctx != ctx:
+                    raise RingError("matrix entry in wrong ring context")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zeros(cls, ctx, rows, cols):
+        z = cls._kind.zero(ctx)
+        return cls(ctx, rows, cols, [[z] * cols for _ in range(rows)])
+
+    @classmethod
+    def diagonal(cls, ctx, size, d):
+        """d on the diagonal of a size x size matrix, zero elsewhere."""
+        z = cls._kind.zero(ctx)
+        return cls(
+            ctx, size, size,
+            [[d if i == j else z for j in range(size)] for i in range(size)],
+        )
+
+    @classmethod
+    def identity(cls, ctx, size):
+        return cls.diagonal(ctx, size, cls._kind.one(ctx))
+
+    @classmethod
+    def block2(cls, tl, tr, bl, br):
+        """Assemble [[tl, tr], [bl, br]]; shapes must be consistent."""
+        if tl.rows != tr.rows or bl.rows != br.rows:
+            raise RingError("row mismatch in block assembly")
+        if tl.cols != bl.cols or tr.cols != br.cols:
+            raise RingError("column mismatch in block assembly")
+        rows = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
+        rows += [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
+        return cls(tl.ctx, tl.rows + bl.rows, tl.cols + tr.cols, rows)
+
+    def map_entries(self, fn, ctx: RingCtx = None):
+        """fn applied to every entry; the result lives over ctx if given."""
+        return type(self)(
+            self.ctx if ctx is None else ctx, self.rows, self.cols,
+            [[fn(e) for e in row] for row in self.entries],
+        )
+
+    # -- arithmetic --------------------------------------------------------
+    def _shape_eq(self, other):
+        if self.ctx != other.ctx:
+            raise RingError("mismatched ring contexts")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise RingError("shape mismatch")
+
+    def __add__(self, other):
+        self._shape_eq(other)
+        return type(self)(
+            self.ctx, self.rows, self.cols,
+            [[a + b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.entries, other.entries)],
+        )
+
+    def __neg__(self):
+        return self.map_entries(lambda e: -e)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def trace(self):
+        """Sum of the diagonal entries, an entry of the matrix's kind."""
+        if self.rows != self.cols:
+            raise RingError("trace of a non-square matrix")
+        acc = self._kind.zero(self.ctx)
+        for i in range(self.rows):
+            acc = acc + self.entries[i][i]
+        return acc
+
+    # -- comparison --------------------------------------------------------
+    def is_zero(self):
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.ctx == other.ctx
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rows}x{self.cols})"

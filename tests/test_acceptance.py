@@ -37,7 +37,6 @@ from mfchern import (
     functoriality_check,
     identity_morphism,
     is_groebner,
-    mf_new,
     mf_unit,
     normal_form,
     parse_form,
@@ -91,7 +90,7 @@ def test_01_validation():
     A = PolyMatrix(CTX3, 2, 2, [[P("z"), P("y")], [P("x"), P("-x-y")]])
     B = PolyMatrix(CTX3, 2, 2, [[P("x+y"), P("y")], [P("x"), P("-z+1")]])
     try:
-        mf_new(CTX3, P("x*y + y*z + z*x"), A, B)
+        MatFac(CTX3, P("x*y + y*z + z*x"), A, B)
         ok = False
     except ValidationError as e:
         ok = ok and "entry (" in str(e)

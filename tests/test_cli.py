@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,19 @@ class TestDocumentErrors:
         gamma = {"gamma0": [["1"]], "gamma1": [["dx"]]}
         code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
         assert code == cli.EXIT_USAGE and "connection entries must be 1-forms" in err
+
+    def test_power_too_large_to_expand(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", {**KOSZUL, "f": "(x+y+1)^400"})
+        start = time.perf_counter()
+        assert main(["validate", path]) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "power ^400" in err
+
+    def test_large_power_of_a_monomial_still_parses(self, tmp_path, capsys):
+        doc = {"vars": ["x", "y"], "f": "(x*y)^2 * x^398", "A": [["x^400"]], "B": [["y^2"]]}
+        assert main(["validate", write(tmp_path, "m.json", doc)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
 
     @pytest.mark.parametrize("command,doc,message", [
         ("cone", {**MORPHISM, "source": [1], "target": KOSZUL},

@@ -18,7 +18,6 @@ from mfchern import (
     identity_morphism,
     is_homotopy,
     is_strict_morphism,
-    mf_new,
     mf_unit,
     module_complex,
     parse_poly,
@@ -42,14 +41,14 @@ class TestValidation:
         A = PolyMatrix(ctx_xyz, 2, 2, [[P("z"), P("y")], [P("x"), P("-x-y")]])
         B = PolyMatrix(ctx_xyz, 2, 2, [[P("x+y"), P("y")], [P("x"), P("-z+1")]])
         with pytest.raises(ValidationError) as e:
-            mf_new(ctx_xyz, P("x*y + y*z + z*x"), A, B)
+            MatFac(ctx_xyz, P("x*y + y*z + z*x"), A, B)
         msg = str(e.value)
         assert "(" in msg and "," in msg  # coordinates of the bad entry
 
     def test_non_factorization_rejected(self, ctx_x):
         P = lambda s: parse_poly(s, ctx_x)
         with pytest.raises(ValidationError):
-            mf_new(
+            MatFac(
                 ctx_x, P("x"),
                 PolyMatrix(ctx_x, 1, 1, [[P("x")]]),
                 PolyMatrix(ctx_x, 1, 1, [[P("x")]]),

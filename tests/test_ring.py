@@ -4,8 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchern import ParseError, Poly, RingCtx, RingError, parse_poly, print_poly
-from mfchern.ring import partial_derivative
+from mfchern import (
+    Form,
+    FormMatrix,
+    ParseError,
+    Poly,
+    PolyMatrix,
+    RingCtx,
+    RingError,
+    graded_trace,
+    parse_form,
+    parse_poly,
+    print_poly,
+)
+from mfchern import ring as ring_module
 
 from conftest import polys, ring
 
@@ -40,6 +52,24 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             parse_poly("w + 1", CTX)
+
+    def test_power_bound_refuses_before_expanding(self):
+        with pytest.raises(ParseError, match=r"\^400 .* 80601 terms"):
+            parse_poly("(x+y+1)^400", CTX)
+
+    def test_power_bound_is_exact(self, monkeypatch):
+        # (x+y)^e has C(e+1, e) = e+1 terms
+        monkeypatch.setattr(ring_module, "MAX_POWER_TERMS", 10)
+        assert len(parse_poly("(x+y)^9", CTX).terms) == 10
+        with pytest.raises(ParseError, match=r"\^10 "):
+            parse_poly("(x+y)^10", CTX)
+
+    @pytest.mark.parametrize("text", [
+        "x^400", "x^400*y^400*z^400", "(2/3)^400", "(x*y)^400", "(x+y)^0",
+        "x^6", "x^3 + y*z", "(x+2)*z^2 + y^2", "(x+y+z+1)^14",
+    ])
+    def test_power_bound_keeps_small_powers(self, text):
+        parse_poly(text, CTX)
 
     @given(polys(CTX))
     def test_print_parse_round_trip(self, p):
@@ -103,14 +133,14 @@ class TestCalculus:
     @settings(max_examples=40)
     def test_leibniz(self, a, b):
         for i in range(3):
-            lhs = partial_derivative(a * b, i)
-            rhs = partial_derivative(a, i) * b + a * partial_derivative(b, i)
+            lhs = (a * b).partial_derivative(i)
+            rhs = a.partial_derivative(i) * b + a * b.partial_derivative(i)
             assert lhs == rhs
 
     def test_known_derivative(self):
         p = parse_poly("x^2*y + z", CTX)
-        assert partial_derivative(p, 0) == parse_poly("2*x*y", CTX)
-        assert partial_derivative(p, 2) == Poly.one(CTX)
+        assert p.partial_derivative(0) == parse_poly("2*x*y", CTX)
+        assert p.partial_derivative(2) == Poly.one(CTX)
 
 
 class TestOrder:
@@ -153,3 +183,79 @@ class TestSubstitute:
         p = parse_poly("t^2 + 1", src)
         q = p.substitute(tgt, (parse_poly("u*v", tgt),))
         assert q == parse_poly("u^2*v^2 + 1", tgt)
+
+
+# ---------------------------------------------------------------------------
+# the matrix base shared by PolyMatrix and FormMatrix
+# ---------------------------------------------------------------------------
+
+def poly_entry(text):
+    return parse_poly(text, CTX)
+
+
+def form_entry(text):
+    return parse_form(text, CTX)
+
+
+KINDS = [(PolyMatrix, poly_entry, "x"), (FormMatrix, form_entry, "x*dy")]
+
+
+@pytest.mark.parametrize("cls,entry,text", KINDS)
+class TestMatrix:
+    def test_block2_rejects_row_mismatch(self, cls, entry, text):
+        tl = cls.zeros(CTX, 1, 1)
+        tr = cls(CTX, 2, 1, [[entry(text)], [entry(text)]])
+        with pytest.raises(RingError, match="row mismatch"):
+            cls.block2(tl, tr, cls.zeros(CTX, 1, 1), cls.zeros(CTX, 1, 1))
+
+    def test_block2_rejects_column_mismatch(self, cls, entry, text):
+        z = cls.zeros(CTX, 1, 1)
+        with pytest.raises(RingError, match="column mismatch"):
+            cls.block2(z, z, cls.zeros(CTX, 1, 2), z)
+
+    def test_block2_places_blocks(self, cls, entry, text):
+        a = cls(CTX, 1, 2, [[entry(text), entry("1")]])
+        b = cls.diagonal(CTX, 2, entry(text))
+        m = cls.block2(a, cls.zeros(CTX, 1, 1), b, cls.zeros(CTX, 2, 1))
+        z = cls._kind.zero(CTX)
+        assert m.entries == (
+            (entry(text), entry("1"), z), (entry(text), z, z), (z, entry(text), z),
+        )
+
+    def test_rejects_entry_of_the_other_kind(self, cls, entry, text):
+        other = form_entry("dx") if cls is PolyMatrix else poly_entry("x")
+        with pytest.raises(RingError, match="entry must be"):
+            cls(CTX, 1, 1, [[other]])
+
+    def test_rejects_negative_shape(self, cls, entry, text):
+        with pytest.raises(RingError, match="negative"):
+            cls(CTX, -1, 0, [])
+
+    def test_rejects_entry_of_another_ring(self, cls, entry, text):
+        with pytest.raises(RingError, match="wrong ring context"):
+            cls(CTX, 1, 1, cls.identity(ring("u"), 1).entries)
+
+    def test_identity_trace_and_arithmetic(self, cls, entry, text):
+        m = cls(CTX, 2, 2, [[entry(text), entry("1")], [entry("y"), entry(text)]])
+        assert m.trace() == entry(text) + entry(text)
+        one = cls._kind.one(CTX)
+        assert cls.identity(CTX, 3).trace() == one + one + one
+        assert (m - m).is_zero() and m + (-m) == cls.zeros(CTX, 2, 2)
+        with pytest.raises(RingError, match="non-square"):
+            cls.zeros(CTX, 1, 2).trace()
+        with pytest.raises(RingError, match="shape mismatch"):
+            m + cls.zeros(CTX, 2, 1)
+
+    def test_equality_hash_repr_immutability(self, cls, entry, text):
+        assert cls.zeros(CTX, 2, 3) == cls.zeros(CTX, 2, 3)
+        assert hash(cls.identity(CTX, 2)) == hash(cls.identity(CTX, 2))
+        assert cls.zeros(CTX, 0, 0) != (
+            FormMatrix if cls is PolyMatrix else PolyMatrix).zeros(CTX, 0, 0)
+        assert repr(cls.zeros(CTX, 2, 3)) == f"{cls.__name__}(2x3)"
+        with pytest.raises(AttributeError, match="immutable"):
+            cls.zeros(CTX, 1, 1).rows = 2
+
+
+def test_graded_trace_is_the_shared_trace():
+    m = FormMatrix.diagonal(CTX, 2, form_entry("x*dy"))
+    assert graded_trace(m) == m.trace() == form_entry("2*x*dy")
