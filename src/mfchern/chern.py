@@ -81,7 +81,7 @@ def random_connection(M: MatFac, rng, max_coeff: int = 3, max_deg: int = 1) -> C
             mono = [0] * ctx.nvars
             for _ in range(rng.randint(0, max_deg)):
                 mono[rng.randrange(ctx.nvars)] += 1
-            p = Poly(ctx, {tuple(mono): Fraction(c)})
+            p = Poly(ctx, {tuple(mono): c})
             acc = acc + Form(ctx, {(i,): p})
         return acc
 
@@ -479,10 +479,6 @@ def kclass_add(a: KClass, b: KClass) -> KClass:
     if a.ctx != b.ctx:
         raise RingError("mismatched ring contexts")
     return KClass(a.ctx, a.terms + b.terms)
-
-
-def kclass_neg(a: KClass) -> KClass:
-    return KClass(a.ctx, tuple((-c, M) for c, M in a.terms))
 
 
 def kclass_product(a: KClass, b: KClass) -> KClass:

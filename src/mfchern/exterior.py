@@ -7,11 +7,20 @@ the shuffle sign; anything of degree above the variable count is zero.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-from .ring import Matrix, ParseError, Poly, RingCtx, RingError, _tokenize, _PolyParser, print_poly
+from .ring import (
+    Matrix,
+    ParseError,
+    Poly,
+    RingCtx,
+    RingError,
+    _bounded_product,
+    _PolyParser,
+    _tokenize,
+    print_poly,
+)
 
 
 class Form:
@@ -183,7 +192,7 @@ def parse_form(text: str, ctx: RingCtx) -> Form:
                 continue
             # otherwise parse one polynomial factor with the poly parser
             factor, pos = _parse_poly_factor(tokens, pos, ctx)
-            coeff = coeff * factor
+            coeff = _bounded_product(coeff, factor)
             expect_factor = False
         term = Form.from_poly(coeff)
         for i in dchain:
@@ -308,20 +317,6 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
 # the wedge-product kernel behind wedge, fm_mul and the trace of a product
 # ---------------------------------------------------------------------------
 
-def _flatten(w: Form) -> tuple:
-    """``((index, ((monomial, coeff), ...)), ...)`` for the components of w.
-
-    An integral coefficient becomes a plain ``int``, so products of integer
-    coefficients skip the ``Fraction`` machinery; others stay ``Fraction``.
-    """
-    return tuple(
-        (idx, tuple(
-            (m, c.numerator if c.denominator == 1 else c) for m, c in p.terms.items()
-        ))
-        for idx, p in w.components.items()
-    )
-
-
 def _merge(i1: tuple, i2: tuple):
     """``(negate, index)`` with dx_i1 ^ dx_i2 = (-1)^negate dx_index, or None
     when the index tuples overlap and the product vanishes."""
@@ -335,14 +330,16 @@ def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
     """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j].
 
     S and T are grids (sequences of rows) of Forms of ``ctx`` with
-    len(S[i]) == len(T).  Every entry is flattened once, index merges and
-    monomial products are memoised for this call only, and each output
-    accumulates into one ``{index: {monomial: coeff}}`` dict that becomes a
-    Form at the end, its coefficients turned back into ``Fraction``.
+    len(S[i]) == len(T).  Index merges and monomial products are memoised
+    for this call only, and each output accumulates into one
+    ``{index: {monomial: coeff}}`` dict that becomes a Form at the end.
+    Integral coefficients are stored as ints, so their products never touch
+    ``Fraction``.
     """
-    fs = [[_flatten(a) for a in row] for row in S]
-    ft = [[_flatten(b) for b in row] for row in T]
-    nonzero = [[(a, ft[k]) for k, a in enumerate(row) if a] for row in fs]
+    nonzero = [
+        [(a.components, T[k]) for k, a in enumerate(row) if a.components]
+        for row in S
+    ]
     merges = {}
     monos = {}
     out = []
@@ -350,11 +347,11 @@ def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
         acc = {}
         for i, j in cell:
             for a, trow in nonzero[i]:
-                b = trow[j]
+                b = trow[j].components
                 if not b:
                     continue
-                for ia, ta in a:
-                    for ib, tb in b:
+                for ia, pa in a.items():
+                    for ib, pb in b.items():
                         key = (ia, ib)
                         if key in merges:
                             merged = merges[key]
@@ -366,8 +363,8 @@ def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
                         dst = acc.get(idx)
                         if dst is None:
                             dst = acc[idx] = {}
-                        for m1, c1 in ta:
-                            for m2, c2 in tb:
+                        for m1, c1 in pa.terms.items():
+                            for m2, c2 in pb.terms.items():
                                 mk = (m1, m2)
                                 if mk in monos:
                                     m = monos[mk]
@@ -376,8 +373,7 @@ def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
                                 c = -c1 * c2 if neg else c1 * c2
                                 dst[m] = dst[m] + c if m in dst else c
         out.append(Form._trusted(ctx, {
-            idx: Poly._trusted(ctx, {m: Fraction(c) for m, c in terms.items() if c})
-            for idx, terms in acc.items()
+            idx: Poly._trusted(ctx, terms) for idx, terms in acc.items()
         }))
     return out
 

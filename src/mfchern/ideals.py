@@ -1,17 +1,20 @@
 """Groebner bases for ideals in Q[x] and for submodules of the form modules.
 
 One Buchberger engine serves both: an ideal is a submodule of rank 1.
-Vectors are term dicts ``{(position, monomial): Fraction}`` ordered
+Vectors are term dicts ``{(position, monomial): int}`` ordered
 position-over-term (a lower position ranks higher); positions of a form
 module are the k-subsets of variable indices in lexicographic order, which
 realizes the submodules ``df ^ Omega^(k-1)`` whose quotients decide
 equality of homology classes.
 
-The engine keeps every generator monic with its lead computed once and
-memoizes order keys per run or per basis.  Its reducer takes the largest
-remaining term and either cancels it against a generator with the same lead
-position or moves it to the remainder; it never restarts or rebuilds the
-vector.
+The engine is fraction-free: it keeps every generator primitive over Z with
+its lead computed once, and memoizes order keys per run or per basis.  Its
+reducer pops the largest remaining term off a heap and either cancels it
+against a generator with the same lead position, scaling the vector by the
+reduced lead coefficient where needed, or moves it to the remainder; it
+never restarts or rebuilds the vector.  Rational inputs are cleared of
+denominators on the way in and the results divided by them on the way out,
+so the public generators are monic and normal forms are exact.
 S-pairs (same lead position only) wait in a heap, smallest lcm first, and
 are skipped by the chain criterion (Gebauer and Moeller 1988) and, in rank
 1 only, by the coprime criterion.  The reduced basis and full normal forms
@@ -21,15 +24,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le
 
 from .exterior import Form, wedge
 from .ring import (
     Poly,
     RingCtx,
     RingError,
+    exact_div,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -50,77 +55,134 @@ class _Memo(dict):
 
 
 class _Basis:
-    """Engine form of a list of monic generators: ``gens[i]`` is
-    ``(pos, lm, tail)`` with ``tail`` the non-lead terms as a list of
-    ``((pos, m), c)``; ``by_pos`` lists ``(lm, tail)`` by lead position.
-    ``mono`` memoizes ``ctx.monomial_key`` and ``order`` the POT key of a
-    term ``(pos, m)``; a larger key is a larger term."""
+    """Engine form of a list of generators, each primitive over Z: ``gens[i]``
+    is ``(pos, lm, a, tail)`` with ``a > 0`` the integer lead coefficient and
+    ``tail`` the non-lead terms as a list of ``((pos, m), c)``, every ``c``
+    an int; ``by_pos`` lists ``(lm, a, tail)`` by lead position.  ``mono``
+    memoizes ``ctx.monomial_key`` and ``neg`` ``ctx.neg_monomial_key``; the
+    POT order ranks a term ``(pos, m)`` above another when its
+    ``(pos, neg[m])`` is smaller."""
 
     def __init__(self, ctx: RingCtx, vectors=()):
-        self.mono = mono = _Memo(lambda m: ctx.monomial_key(m))
-        self.order = _Memo(lambda t: (-t[0], mono[t[1]]))
+        self.mono = _Memo(ctx.monomial_key)
+        self.neg = _Memo(ctx.neg_monomial_key)
         self.gens = []
         self.by_pos = {}
         for v in vectors:
-            self.add(_terms(v))
+            self.add(_integral(_terms(v))[1])
 
     def add(self, terms: dict):
-        """Append the term dict ``terms``, made monic."""
+        """Append the integer term dict ``terms``, made primitive: content
+        divided out, positive lead coefficient."""
         if not terms:
             raise RingError("a basis generator must be nonzero")
-        lead = max(terms, key=self.order.__getitem__)
-        lc = terms[lead]
-        tail = [(t, c if lc == 1 else c / lc) for t, c in terms.items() if t != lead]
+        neg = self.neg
+        lead = min(terms, key=lambda t: (t[0], neg[t[1]]))
+        g = gcd(*terms.values())
+        if terms[lead] < 0:
+            g = -g
+        if g != 1:
+            terms = {t: exact_div(c, g) for t, c in terms.items()}
+        tail = [(t, c) for t, c in terms.items() if t != lead]
         pos, lm = lead
-        self.gens.append((pos, lm, tail))
-        self.by_pos.setdefault(pos, []).append((lm, tail))
+        a = terms[lead]
+        self.gens.append((pos, lm, a, tail))
+        self.by_pos.setdefault(pos, []).append((lm, a, tail))
 
-    def reduce(self, work: dict) -> dict:
-        """Full normal form of the term dict ``work``, which is consumed."""
-        key, by_pos, rem = self.order.__getitem__, self.by_pos, {}
-        while work:
-            t = max(work, key=key)
-            c = work.pop(t)
-            for lm, tail in by_pos.get(t[0], ()):
-                if monomial_divides(lm, t[1]):
-                    q, c = monomial_div(t[1], lm), -c
-                    _add_shifted(work, q, [(u, c * d) for u, d in tail])
+    def reduce(self, work: dict):
+        """``(rem, s)`` with ``rem / s`` the full normal form of the integer
+        term dict ``work``, which is consumed; ``rem`` is an integer term
+        dict and ``s`` a positive int.
+
+        The largest remaining term comes off a heap; entries of terms that
+        have cancelled since they were pushed are skipped.  Cancelling
+        ``c x^t`` against a generator with lead ``a x^lm`` scales ``work``,
+        ``rem`` and ``s`` by ``a / gcd(a, c)`` instead of dividing by ``a``.
+        """
+        neg, by_pos, rem, s = self.neg, self.by_pos, {}, 1
+        heap = [(t[0], neg[t[1]], t) for t in work]
+        heapify(heap)
+        while heap:
+            t = heappop(heap)[2]
+            c = work.pop(t, None)
+            if c is None:
+                continue
+            m = t[1]
+            for lm, a, tail in by_pos.get(t[0], ()):
+                if all(map(le, lm, m)):
+                    g = gcd(a, c)
+                    if g != a:
+                        a //= g
+                        for u in work:
+                            work[u] *= a
+                        for u in rem:
+                            rem[u] *= a
+                        s *= a
+                    for u in _add_shifted(work, monomial_div(m, lm), tail, -c // g):
+                        heappush(heap, (u[0], neg[u[1]], u))
                     break
             else:
                 rem[t] = c
-        return rem
+        return rem, s
 
     def s_vector(self, i: int, j: int, lcm) -> dict:
-        """(lcm/lm_i) g_i - (lcm/lm_j) g_j without the cancelling leads."""
-        (_, lmi, tail_i), (_, lmj, tail_j) = self.gens[i], self.gens[j]
+        """a_j (lcm/lm_i) g_i - a_i (lcm/lm_j) g_j, both leads divided by
+        their gcd, without the cancelling leads."""
+        (_, lmi, ai, tail_i), (_, lmj, aj, tail_j) = self.gens[i], self.gens[j]
+        g = gcd(ai, aj)
         work = {}
-        _add_shifted(work, monomial_div(lcm, lmi), tail_i)
-        _add_shifted(work, monomial_div(lcm, lmj), [(u, -d) for u, d in tail_j])
+        _add_shifted(work, monomial_div(lcm, lmi), tail_i, aj // g)
+        _add_shifted(work, monomial_div(lcm, lmj), tail_j, -ai // g)
         return work
 
 
-def _add_shifted(work: dict, q, terms):
-    """work += x^q * terms in place, dropping the terms that cancel."""
+def _add_shifted(work: dict, q, terms, c: int) -> list:
+    """work += c x^q terms in place, dropping the terms that cancel; returns
+    the terms that were not in work before."""
+    fresh = []
     for (p, m), d in terms:
-        s = (p, monomial_mul(q, m))
-        v = work.get(s)
-        if v is not None:
-            d += v
-            if not d:
-                del work[s]
-                continue
-        work[s] = d
+        u = (p, tuple(map(add, q, m)))
+        v = work.get(u)
+        if v is None:
+            work[u] = c * d
+            fresh.append(u)
+        else:
+            v += c * d
+            if v:
+                work[u] = v
+            else:
+                del work[u]
+    return fresh
 
 
 def _terms(v) -> dict:
     return {(pos, m): c for pos, p in enumerate(v) for m, c in p.terms.items()}
 
 
-def _vector(terms: dict, rank: int, ctx: RingCtx) -> tuple:
+def _integral(terms: dict):
+    """``(D, D * terms)`` with ``D`` the least common denominator of the
+    rational term dict ``terms``, so that every value of ``D * terms`` is an
+    int: the engine's entry edge."""
+    D = lcm(*(c.denominator for c in terms.values()))
+    if D == 1:
+        return 1, terms
+    return D, {t: c.numerator * (D // c.denominator) for t, c in terms.items()}
+
+
+def _vector(terms: dict, d: int, rank: int, ctx: RingCtx) -> tuple:
+    """The rank-``rank`` vector of Polys ``terms / d``: the engine's exit
+    edge, for an integer term dict ``terms`` and a positive int ``d``."""
     comps = [{} for _ in range(rank)]
     for (pos, m), c in terms.items():
-        comps[pos][m] = c
-    return tuple(Poly._trusted(ctx, d) for d in comps)
+        comps[pos][m] = c if d == 1 else exact_div(c, d)
+    return tuple(Poly._trusted(ctx, c) for c in comps)
+
+
+def _normal_form(basis: _Basis, v, rank: int, ctx: RingCtx) -> tuple:
+    """Full normal form of the vector of Polys ``v`` modulo ``basis``."""
+    D, terms = _integral(_terms(v))
+    rem, s = basis.reduce(terms)
+    return _vector(rem, D * s, rank, ctx)
 
 
 def _reduced_basis(vectors, rank: int, ctx: RingCtx) -> tuple:
@@ -133,14 +195,15 @@ def _reduced_basis(vectors, rank: int, ctx: RingCtx) -> tuple:
     def add(terms):
         basis.add(terms)
         k = len(gens) - 1
-        pos, lm, _ = gens[k]
+        pos, lm = gens[k][:2]
         for t, h in enumerate(gens[:k]):
             if h[0] == pos:
                 lcm = monomial_lcm(lm, h[1])
                 heappush(pairs, (mkey[lcm], pos, k, t, lcm))
                 pending.add((k, t))
 
-    for terms in map(_terms, vectors):
+    for v in vectors:
+        terms = _integral(_terms(v))[1]
         if terms:
             add(terms)
     while pairs:
@@ -155,22 +218,23 @@ def _reduced_basis(vectors, rank: int, ctx: RingCtx) -> tuple:
             for k, g in enumerate(gens)
         ):
             continue  # chain criterion
-        r = basis.reduce(basis.s_vector(i, j, lcm))
+        r = basis.reduce(basis.s_vector(i, j, lcm))[0]
         if r:
             add(r)
     # keep the minimal leads (the first of equal ones) and reduce their
-    # tails; a tail's normal form is the same modulo any Groebner basis
+    # tails; a tail's normal form is the same modulo any Groebner basis,
+    # and the monic generator is lm + (normal form of tail) / a
     out = []
-    for i, (pos, lm, tail) in enumerate(gens):
+    for i, (pos, lm, a, tail) in enumerate(gens):
         if not any(
             h[0] == pos and monomial_divides(h[1], lm) and (h[1] != lm or j < i)
             for j, h in enumerate(gens) if j != i
         ):
-            terms = basis.reduce(dict(tail))
-            terms[(pos, lm)] = Fraction(1)
-            out.append((pos, mkey[lm], terms))
+            rem, s = basis.reduce(dict(tail))
+            rem[(pos, lm)] = a * s
+            out.append((pos, mkey[lm], _vector(rem, a * s, rank, ctx)))
     out.sort(key=lambda g: g[:2])
-    return tuple(_vector(terms, rank, ctx) for _, _, terms in out)
+    return tuple(v for _, _, v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +264,7 @@ def buchberger(gens, ctx: RingCtx) -> GroebnerBasis:
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
     if p.ctx != gb.ctx:
         raise RingError("mismatched ring contexts")
-    return _vector(gb._basis.reduce(_terms((p,))), 1, p.ctx)[0]
+    return _normal_form(gb._basis, (p,), 1, p.ctx)[0]
 
 
 def is_groebner(gb) -> bool:
@@ -211,7 +275,7 @@ def is_groebner(gb) -> bool:
     vectors = gb.generators
     if isinstance(gb, GroebnerBasis):
         vectors = [(g,) for g in vectors]
-    for i, (v, (pos, lm, tail)) in enumerate(zip(vectors, gens)):
+    for i, (v, (pos, lm, _, tail)) in enumerate(zip(vectors, gens)):
         if _terms(v)[pos, lm] != 1:
             return False
         if any(
@@ -221,7 +285,7 @@ def is_groebner(gb) -> bool:
         ):
             return False
     return all(
-        not basis.reduce(basis.s_vector(i, j, monomial_lcm(gens[i][1], gens[j][1])))
+        not basis.reduce(basis.s_vector(i, j, monomial_lcm(gens[i][1], gens[j][1])))[0]
         for i in range(len(gens))
         for j in range(i)
         if gens[i][0] == gens[j][0]
@@ -253,8 +317,7 @@ def module_buchberger(vectors, ambient_rank: int, ctx: RingCtx) -> ModuleGB:
 def module_normal_form(v, mgb: ModuleGB):
     if len(v) != mgb.ambient_rank:
         raise RingError("vector length does not match ambient rank")
-    nf = mgb._basis.reduce(_terms(v))
-    return _vector(nf, mgb.ambient_rank, mgb.ctx)
+    return _normal_form(mgb._basis, v, mgb.ambient_rank, mgb.ctx)
 
 
 def k_subsets(ctx: RingCtx, k: int):

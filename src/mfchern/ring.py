@@ -2,7 +2,8 @@
 
 The ambient ring is fixed by a :class:`RingCtx` (variable names plus a
 monomial order).  Polynomials are immutable maps from exponent vectors to
-``fractions.Fraction`` coefficients; no floating point appears anywhere.
+exact coefficients: an integral coefficient is stored as an ``int``, any
+other as a ``fractions.Fraction``; no floating point appears anywhere.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from operator import add, le, sub
 from typing import Iterable, Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
-# stdlib Fraction maintains exactly these invariants.
+# stdlib Fraction maintains exactly these invariants.  A Poly stores the
+# integral ones as int, which agrees with Fraction on ==, hash and str.
 Rational = Fraction
 
 # A monomial is a dense exponent vector, one entry per ring variable.
@@ -27,8 +29,9 @@ _ORDERS = ("degrevlex", "lex", "grlex")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # The parser refuses a power p^e whose expansion could exceed this many
-# terms: C(t+e-1, e) for a base of t terms.  A document can otherwise ask
-# for an expansion that never finishes, e.g. "(x+y+1)^400" (80601 terms).
+# terms, C(t+e-1, e) for a base of t terms, and a product whose factors'
+# term counts multiply past it.  A document can otherwise ask for an
+# expansion that never finishes, e.g. "(x+y+1)^400" (80601 terms).
 MAX_POWER_TERMS = 1000
 
 
@@ -77,6 +80,29 @@ class RingCtx:
         # nonzero entry of the difference being negative.
         return (sum(m), tuple(-e for e in reversed(m)))
 
+    def neg_monomial_key(self, m: Monomial):
+        """Sort key of the reversed order: smaller key, larger monomial.
+
+        The entrywise negation of :meth:`monomial_key`, built directly, so
+        that a min-heap of these keys pops the largest monomial first.
+        """
+        if self.order == "lex":
+            return tuple(-e for e in m)
+        if self.order == "grlex":
+            return (-sum(m), tuple(-e for e in m))
+        return (-sum(m), m[::-1])
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral, else a Fraction.
+
+    Plain ``/`` on two ints would give a float.
+    """
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
@@ -94,10 +120,18 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
+def _canonical(terms: dict) -> dict:
+    """The nonzero terms, with integral Fraction coefficients made int."""
+    return {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items() if c
+    }
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: RingCtx, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -108,9 +142,9 @@ class Poly:
                 raise RingError("monomial length does not match variable count")
             if any(e < 0 for e in m):
                 raise RingError("negative exponent in monomial")
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+            acc[m] = acc.get(m, 0) + (c if type(c) is int else Fraction(c))
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", {m: c for m, c in acc.items() if c})
+        object.__setattr__(self, "terms", _canonical(acc))
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Poly is immutable")
@@ -120,12 +154,13 @@ class Poly:
     def _trusted(cls, ctx: RingCtx, terms: dict) -> "Poly":
         """Internal constructor for results of arithmetic on valid Polys.
 
-        ``terms`` must be a fresh dict from valid monomials to Fractions;
-        only zero coefficients are dropped, nothing else is checked.
+        ``terms`` must be a dict from valid monomials to ints and Fractions;
+        zero coefficients are dropped and integral ones made int, nothing
+        else is checked.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "ctx", ctx)
-        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "terms", _canonical(terms))
         return p
 
     @classmethod
@@ -134,7 +169,7 @@ class Poly:
 
     @classmethod
     def const(cls, ctx: RingCtx, c) -> "Poly":
-        return cls(ctx, {(0,) * ctx.nvars: Fraction(c)})
+        return cls(ctx, {(0,) * ctx.nvars: c})
 
     @classmethod
     def one(cls, ctx: RingCtx) -> "Poly":
@@ -146,17 +181,11 @@ class Poly:
             raise RingError("variable index out of range")
         m = [0] * ctx.nvars
         m[i] = 1
-        return cls(ctx, {tuple(m): Fraction(1)})
+        return cls(ctx, {tuple(m): 1})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
-    def constant_coeff(self) -> Fraction:
-        return self.terms.get((0,) * self.ctx.nvars, Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -223,7 +252,12 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:  # first call: computed once, then kept
+            h = hash((self.ctx, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- calculus / structure ---------------------------------------------
     def partial_derivative(self, var_index: int) -> "Poly":
@@ -245,12 +279,14 @@ class Poly:
             raise RingError("zero polynomial has no leading monomial")
         return max(self.terms, key=self.ctx.monomial_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Scalar:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Poly":
         lc = self.leading_coeff()
-        return Poly(self.ctx, {m: c / lc for m, c in self.terms.items()})
+        return Poly._trusted(
+            self.ctx, {m: exact_div(c, lc) for m, c in self.terms.items()}
+        )
 
     def substitute(self, target_ctx: RingCtx, images: "tuple[Poly, ...]") -> "Poly":
         """Evaluate under x_i -> images[i]; images live in target_ctx."""
@@ -286,13 +322,31 @@ def _tokenize(text: str):
         if not m or m.end() == pos:
             raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(
+                    f"integer literal at position {m.start(1)} has "
+                    f"{len(m.group(1))} digits, too many to convert"
+                ) from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
             tokens.append(("op", m.group(3)))
         pos = m.end()
     return tokens
+
+
+def _bounded_product(p: Poly, q: Poly) -> Poly:
+    """p * q for the parsers, refused before expanding when it could have
+    more than MAX_POWER_TERMS terms."""
+    size = len(p.terms) * len(q.terms)
+    if size > MAX_POWER_TERMS:
+        raise ParseError(
+            f"product of a {len(p.terms)}-term and a {len(q.terms)}-term "
+            f"factor could expand to {size} terms (limit {MAX_POWER_TERMS})"
+        )
+    return p * q
 
 
 class _PolyParser:
@@ -342,7 +396,7 @@ class _PolyParser:
         p = self.factor()
         while self.peek() == ("op", "*"):
             self.next()
-            p = p * self.factor()
+            p = _bounded_product(p, self.factor())
         return p
 
     def factor(self) -> Poly:

@@ -157,6 +157,21 @@ class TestDocumentErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "power ^400" in err
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", {**KOSZUL, "f": "x^" + "1" * 5000})
+        assert main(["validate", path]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "position 2 has 5000 digits" in err
+
+    def test_product_too_large_to_expand(self, tmp_path, capsys):
+        doc = {**KOSZUL, "vars": ["x", "y", "z", "w"],
+               "f": "*".join(["(x+y+z+w+1)^7"] * 4)}
+        start = time.perf_counter()
+        assert main(["validate", write(tmp_path, "m.json", doc)]) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "330-term and a 330-term factor" in err
+
     def test_large_power_of_a_monomial_still_parses(self, tmp_path, capsys):
         doc = {"vars": ["x", "y"], "f": "(x*y)^2 * x^398", "A": [["x^400"]], "B": [["y^2"]]}
         assert main(["validate", write(tmp_path, "m.json", doc)]) == 0

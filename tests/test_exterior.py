@@ -104,6 +104,15 @@ class TestFormSyntax:
         with pytest.raises(ParseError):
             parse_form(bad, CTX)
 
+    def test_refuses_a_coefficient_product_too_large_to_expand(self):
+        # the form parser multiplies coefficient factors itself; it shares
+        # the polynomial parser's bound
+        with pytest.raises(ParseError, match="84-term and a 84-term factor"):
+            parse_form("(x+y+z+1)^6*(x+y+z+1)^6*(x+y+z+1)^6*dx", CTX)
+        assert parse_form("(x+1)*(y-2)*dx^dy", CTX) == parse_form(
+            "(x*y - 2*x + y - 2)*dx^dy", CTX
+        )
+
     @given(st.one_of(forms(0), forms(1), forms(2), forms(3)))
     @settings(max_examples=60)
     def test_print_parse_round_trip(self, w):
@@ -280,6 +289,14 @@ def _coefficients(w):
     return [c for p in w.components.values() for c in p.terms.values()]
 
 
+def _canonical_scalars(coeffs) -> bool:
+    """No float; integral values stored as int, the rest as Fraction."""
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction
+        for c in coeffs
+    )
+
+
 class TestWedgeKernelOracle:
     def test_permutation_sign(self):
         assert _permutation_sign([0, 1, 2]) == 1
@@ -295,8 +312,8 @@ class TestWedgeKernelOracle:
             got = wedge(a, b)
             assert got == _ref_wedge(a, b)
             coeffs = _coefficients(got)
-            assert all(type(c) is Fraction for c in coeffs)
-            non_integral += sum(c.denominator > 1 for c in coeffs)
+            assert _canonical_scalars(coeffs)
+            non_integral += sum(type(c) is Fraction for c in coeffs)
         assert non_integral > 100  # the non-integral branch is exercised
 
     @pytest.mark.parametrize("shape", [
@@ -312,7 +329,7 @@ class TestWedgeKernelOracle:
             assert P == FormMatrix(CTX4, r, c, _ref_mul(S, T))
             for row in P.entries:
                 for e in row:
-                    assert all(type(x) is Fraction for x in _coefficients(e))
+                    assert _canonical_scalars(_coefficients(e))
 
     @pytest.mark.parametrize("size", [0, 1, 3, 5])
     def test_trace_of_product(self, size):

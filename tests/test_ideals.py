@@ -25,7 +25,7 @@ from mfchern.ideals import (
     k_subsets,
     module_buchberger,
 )
-from mfchern.ring import RingError
+from mfchern.ring import RingCtx, RingError
 
 from conftest import corpus_list, rand_poly, ring
 
@@ -371,3 +371,112 @@ class TestSympyOracle:
                 nf = module_normal_form(v, mgb)
                 assert is_zero_vector(nf) == is_member(v)
                 assert is_member([a - b for a, b in zip(v, nf)])
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free engine on rational inputs: generators with non-unit
+# integer leads once denominators are cleared, denominators up to 12
+# ---------------------------------------------------------------------------
+
+def rand_rational_poly(rng, ctx, max_deg=2, max_terms=3) -> Poly:
+    """Nonzero; coefficients +-(1..9)/(1..12)."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = tuple(rng.randint(0, max_deg) for _ in range(ctx.nvars))
+        terms[m] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+    return Poly(ctx, terms)
+
+
+def assert_monic_and_canonical(vectors):
+    """The lead coefficient (first nonzero position, then the monomial
+    order) is the int 1; integral coefficients are ints, the rest
+    Fractions."""
+    for v in vectors:
+        lead = next(p for p in v if not p.is_zero()).leading_coeff()
+        assert type(lead) is int and lead == 1
+        for p in v:
+            for c in p.terms.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+class TestIntegerEngine:
+    @pytest.mark.parametrize("order,sympy_order", [
+        ("degrevlex", "grevlex"), ("grlex", "grlex"), ("lex", "lex"),
+    ])
+    def test_rational_ideals_match_sympy(self, order, sympy_order):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        for trial in range(12):
+            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            xs = sympy.symbols(ctx.variables)
+            gens = [rand_rational_poly(rng, ctx) for _ in range(rng.randint(2, 3))]
+            gb = buchberger(gens, ctx)
+            assert is_groebner(gb)
+            assert_monic_and_canonical([(g,) for g in gb.generators])
+            # the reduced basis and the normal forms are unique
+            ref = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order=sympy_order)
+            assert {to_sympy(g, xs) for g in gb.generators} == set(ref.exprs)
+            for _ in range(4):
+                p = rand_rational_poly(rng, ctx, max_deg=3, max_terms=4)
+                assert to_sympy(normal_form(p, gb), xs) == ref.reduce(to_sympy(p, xs))[1]
+
+    def test_rational_modules_agree_with_sympy(self):
+        rng = random.Random(67)
+        for trial in range(12):
+            ctx = CTX2 if trial % 2 else CTX3
+            gens = [
+                tuple(rand_rational_poly(rng, ctx) for _ in range(2))
+                for _ in range(rng.randint(2, 3))
+            ]
+            mgb = module_buchberger(gens, 2, ctx)
+            assert is_groebner(mgb)
+            assert_monic_and_canonical(mgb.generators)
+            is_member = sympy_membership(gens, ctx)
+            probe = tuple(rand_rational_poly(rng, ctx) for _ in range(2))
+            cs = [rand_rational_poly(rng, ctx, max_deg=1) for _ in gens]
+            combo = tuple(
+                sum((c * g[i] for c, g in zip(cs, gens)), Poly.zero(ctx)) for i in range(2)
+            )
+            for v in gens + [probe, combo]:
+                nf = module_normal_form(v, mgb)
+                assert is_zero_vector(nf) == is_member(v)
+                assert is_member([a - b for a, b in zip(v, nf)])
+            assert is_zero_vector(module_normal_form(combo, mgb))
+
+    def test_long_reductions_on_a_rational_quartic_by_cubic(self, monkeypatch):
+        # df ^ Omega^1 for a quartic times a cubic: reductions whose work
+        # vectors pass 100 terms, where the reducer's heap does the ordering
+        from mfchern import ideals
+
+        sizes = []
+        add_shifted = ideals._add_shifted
+
+        def recording(work, *args):
+            fresh = add_shifted(work, *args)
+            sizes.append(len(work))
+            return fresh
+
+        monkeypatch.setattr(ideals, "_add_shifted", recording)
+        ctx = ring("x", "y", "z", "w")
+        f = parse_poly(
+            "(3/4*x^4 + y^3*z - 2/3*w^2*x^2 + 5*z)*(2*x^3 - 7/12*y*z*w + 3*y^2 + w)", ctx
+        )
+        mgb = df_image_module_gb(f, 2)
+        assert max(sizes) > 100
+        assert is_groebner(mgb)
+        assert_monic_and_canonical(mgb.generators)
+        gens = df_image_vectors(f, 2)
+        is_member = sympy_membership(gens, ctx)
+        rng = random.Random(71)
+        rank = len(gens[0])
+        for trial in range(4):
+            v = [rand_rational_poly(rng, ctx) for _ in range(rank)]
+            if trial % 2:
+                for g in gens:
+                    c = rand_rational_poly(rng, ctx, max_deg=1, max_terms=2)
+                    v = [a + c * b for a, b in zip(v, g)]
+            nf = module_normal_form(v, mgb)
+            assert is_zero_vector(nf) == is_member(v)
+            assert is_member([a - b for a, b in zip(v, nf)])
+        for g in gens:
+            assert is_zero_vector(module_normal_form(g, mgb))

@@ -1,0 +1,30 @@
+"""Byte-identity of results: every ``gb_cold`` pool job and every
+``check_cli`` document, run in-process, against the SHA-256 pins in
+``perfbench/reference.json``.
+
+The reduced Groebner bases, normal forms and CLI reports are unique, so a
+change of algorithm or coefficient representation must leave every digest
+as it is.  Only reads ``perfbench/`` (the documents it writes go under the
+ignored ``.perfbench_work/``).
+"""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from workloads import ROOT, WORKLOADS, digest  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["gb_cold", "check_cli"])
+def test_pool_outputs_match_pins(name, monkeypatch):
+    monkeypatch.chdir(ROOT)  # check_cli documents are passed as relative paths
+    pins = json.loads((PERFBENCH / "reference.json").read_text())[name]
+    workload = WORKLOADS[name]
+    jobs = workload.prepare(workload.pool(), in_process=True)
+    assert len(jobs) == len(pins)
+    mismatched = [j.key for j in jobs if digest(j.render(j.fn())) != pins[j.key]]
+    assert mismatched == []

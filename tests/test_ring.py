@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,18 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"\^10 "):
             parse_poly("(x+y)^10", CTX)
 
+    def test_product_bound_is_exact(self, monkeypatch):
+        monkeypatch.setattr(ring_module, "MAX_POWER_TERMS", 10)
+        assert len(parse_poly("(x+z^3)*(1+x+y+z+x*y)", CTX).terms) == 10
+        with pytest.raises(ParseError, match="2-term and a 6-term factor"):
+            parse_poly("(x+z^3)*(1+x+y+z+x*y+y*z)", CTX)
+        # the running product is what is bounded: x*x*... stays one term
+        parse_poly("*".join(["(x+y)"] + ["x"] * 20), CTX)
+
+    def test_integer_literal_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="position 4 has 5000 digits"):
+            parse_poly("x + " + "1" * 5000, CTX)
+
     @pytest.mark.parametrize("text", [
         "x^400", "x^400*y^400*z^400", "(2/3)^400", "(x*y)^400", "(x+y)^0",
         "x^6", "x^3 + y*z", "(x+2)*z^2 + y^2", "(x+y+z+1)^14",
@@ -125,7 +138,11 @@ class TestConstructorBoundary:
         assert (p - p).terms == {}
         assert (p * 0).terms == {}
         assert (p * q - q * p).terms == {}
-        assert all(isinstance(c, Fraction) for c in (p * q + 3).terms.values())
+        # integral coefficients are stored as int, others as Fraction, none
+        # as float
+        assert all(type(c) is int for c in (p * q + 3).terms.values())
+        half = (p * Fraction(1, 2)).terms
+        assert type(half[(1, 0, 0)]) is Fraction and type(half[(0, 1, 0)]) is int
 
 
 class TestCalculus:
@@ -150,6 +167,14 @@ class TestOrder:
         ms = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         ordered = sorted(ms, key=c.monomial_key, reverse=True)
         assert ordered == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("order", ["degrevlex", "grlex", "lex"])
+    def test_neg_monomial_key_reverses_the_order(self, order):
+        ctx = RingCtx(("x", "y", "z"), order)
+        monos = [m for m in itertools.product(range(4), repeat=3) if sum(m) <= 4]
+        assert sorted(monos, key=ctx.neg_monomial_key) == sorted(
+            monos, key=ctx.monomial_key, reverse=True
+        )
 
     def test_degrevlex_vs_grlex_differ(self):
         c = ring("x", "y", "z")
