@@ -11,8 +11,12 @@ single A/B pair (an endomorphism) or explicit "source"/"target" objects.
 Complex documents carry "min_degree", "ranks" and "differentials"; ring map
 documents carry "source_vars", "target_vars" and "images".
 
-Exit codes: 0 success or pass, 1 a verification failed, 2 usage or parse
-problems, 3 an internal consistency check failed (a library bug).
+Exit codes: 0 success or pass; 1 a mathematical verification failed
+(ValidationError, or a check suite reporting FAIL) and nothing else; 2 the
+inputs are malformed or do not fit together (usage, an unreadable or
+malformed document, any RingError such as a parse error or two rings that
+differ); 3 an internal consistency check failed (a library bug).  ``main``
+makes this mapping in one place.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ from .mf import (
     shift,
     tensor,
 )
-from .ring import ParseError, Poly, RingCtx, RingError, parse_poly, print_poly
+from .ring import Poly, RingCtx, RingError, parse_poly, print_poly
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,77 +70,91 @@ class DocumentError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# document (de)serialization
-# ---------------------------------------------------------------------------
+# Largest r0 + r1 a complex document may fold to.  Its ranks are bare
+# integers with nothing behind them, while checking the folded factorization
+# takes r x r products: "ranks": [1000, 0] alone took seconds.  The largest
+# factorization anywhere in the tests, scripts and benchmark has r0 + r1 = 32.
+MAX_FOLDED_RANK = 64
 
-def _load(path) -> dict:
+
+def _load(path) -> "_Doc":
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"{path} is not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: top level must be a JSON object")
-    return doc
+    except (OSError, ValueError, RecursionError) as e:
+        raise DocumentError(f"cannot read {path} as JSON: {e}") from None
+    return _Doc(doc, path)
 
 
-def _ring(names, where) -> RingCtx:
-    """The ring over variable names taken from the input at ``where``."""
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise DocumentError(f"{where} must be a list of strings")
-    try:
-        return RingCtx(tuple(names))
-    except RingError as e:
-        raise DocumentError(f"{where}: {e}") from None
+def _is_str(v) -> bool:
+    return type(v) is str
 
 
-def _ctx(doc, path) -> RingCtx:
-    return _ring(doc.get("vars"), f"{path}: 'vars'")
+class _Doc:
+    """A JSON object read from ``path``.  Each accessor checks the type and
+    shape of what it returns, and an error names the JSON path."""
+
+    def __init__(self, doc, path):
+        if type(doc) is not dict:
+            raise DocumentError(f"{path}: top level must be a JSON object")
+        self.doc, self.path = doc, path
+
+    def get(self, key, type_, what):
+        """The value at ``key``, of exactly ``type_``: neither 0.5 nor true is an int."""
+        if key not in self.doc:
+            raise DocumentError(f"{self.path}: missing '{key}'")
+        if type(self.doc[key]) is not type_:
+            raise DocumentError(f"{self.path}: '{key}' must be {what}")
+        return self.doc[key]
+
+    def items(self, label, value, count, many, each=None, one=None):
+        """``value`` as a list of ``count`` entries (any number if None), each
+        passing ``each``; ``many`` and ``one`` describe them in the error."""
+        if type(value) is not list or count is not None and len(value) != count:
+            size = "" if count is None else f"{count} "
+            raise DocumentError(f"{self.path}: {label} must be a list of {size}{many}")
+        for i, v in enumerate(value):
+            if each is not None and not each(v):
+                raise DocumentError(f"{self.path}: {label}[{i}] must be {one}")
+        return value
+
+    def call(self, where, fn, *args):
+        """fn(*args), with a RingError reported at ``where``."""
+        try:
+            return fn(*args)
+        except RingError as e:
+            raise DocumentError(f"{self.path}: {where}: {e}") from None
+
+    def ring(self, key) -> RingCtx:
+        names = self.get(key, list, "a list of strings")
+        self.items(f"'{key}'", names, None, "strings", _is_str, "a string")
+        return self.call(f"'{key}'", RingCtx, tuple(names))
+
+    def matrix(self, key, rows, cols, parse, ctx, cls=PolyMatrix):
+        """The rows x cols matrix at ``key``, each string entry parsed."""
+        label = f"'{key}'"
+        grid = self.items(label, self.get(key, list, "a list of rows"), rows, "rows")
+        for i, row in enumerate(grid):
+            self.items(f"{label}[{i}]", row, cols, "entries", _is_str, "a string")
+        return cls(ctx, rows, cols, [
+            [self.call(f"{label}[{i}][{j}]", parse, e, ctx) for j, e in enumerate(row)]
+            for i, row in enumerate(grid)
+        ])
 
 
-def _check_string_rows(rows_json, rows, cols, label, path):
-    """Raise unless ``rows_json`` is a rows x cols JSON matrix of strings."""
-    if not isinstance(rows_json, list) or len(rows_json) != rows:
-        raise DocumentError(f"{path}: '{label}' must have {rows} rows")
-    for i, row in enumerate(rows_json):
-        if not isinstance(row, list) or len(row) != cols:
-            raise DocumentError(
-                f"{path}: '{label}'[{i}] must be a list of {cols} entries"
-            )
-        for j, e in enumerate(row):
-            if not isinstance(e, str):
-                raise DocumentError(f"{path}: '{label}'[{i}][{j}] must be a string")
-
-
-def _poly_matrix(ctx, rows_json, rows, cols, label, path) -> PolyMatrix:
-    _check_string_rows(rows_json, rows, cols, label, path)
-    entries = [[parse_poly(e, ctx) for e in row] for row in rows_json]
-    return PolyMatrix(ctx, rows, cols, entries)
-
-
-def _matfac_parts(ctx, doc, path):
+def _matfac_parts(d: _Doc, ctx):
     """Parse f, A, B without running the factorization identity check."""
-    for key in ("f", "A", "B"):
-        if key not in doc:
-            raise DocumentError(f"{path}: missing '{key}'")
-    if not isinstance(doc["f"], str):
-        raise DocumentError(f"{path}: 'f' must be a string")
-    if not (isinstance(doc["A"], list) and isinstance(doc["B"], list)):
-        raise DocumentError(f"{path}: 'A' and 'B' must be lists of rows")
-    f = parse_poly(doc["f"], ctx)
-    r0, r1 = len(doc["A"]), len(doc["B"])
-    A = _poly_matrix(ctx, doc["A"], r0, r1, "A", path)
-    B = _poly_matrix(ctx, doc["B"], r1, r0, "B", path)
+    f = d.call("'f'", parse_poly, d.get("f", str, "a string"), ctx)
+    r0 = len(d.get("A", list, "a list of rows"))
+    r1 = len(d.get("B", list, "a list of rows"))
+    A = d.matrix("A", r0, r1, parse_poly, ctx)
+    B = d.matrix("B", r1, r0, parse_poly, ctx)
     return f, A, B
 
 
-def matfac_from_doc(doc, path) -> MatFac:
-    ctx = _ctx(doc, path)
-    f, A, B = _matfac_parts(ctx, doc, path)
-    return MatFac(ctx, f, A, B)
+def matfac_from_doc(d: _Doc) -> MatFac:
+    ctx = d.ring("vars")
+    return MatFac(ctx, *_matfac_parts(d, ctx))
 
 
 def matfac_to_doc(M: MatFac) -> dict:
@@ -148,91 +166,60 @@ def matfac_to_doc(M: MatFac) -> dict:
     }
 
 
-def morphism_from_doc(doc, path) -> StrictMorphism:
-    ctx = _ctx(doc, path)
-    if "source" in doc or "target" in doc:
-        for key in ("source", "target"):
-            if key not in doc:
-                raise DocumentError(f"{path}: missing '{key}'")
-            if not isinstance(doc[key], dict):
-                raise DocumentError(f"{path}: '{key}' must be an object")
-        src = dict(doc["source"])
-        tgt = dict(doc["target"])
-        if "f" in doc:
-            if not isinstance(doc["f"], str):
-                raise DocumentError(f"{path}: 'f' must be a string")
-            parse_poly(doc["f"], ctx)  # checked even where both sides override it
-            src.setdefault("f", doc["f"])
-            tgt.setdefault("f", doc["f"])
-        source = MatFac(ctx, *_matfac_parts(ctx, src, path + "#source"))
-        target = MatFac(ctx, *_matfac_parts(ctx, tgt, path + "#target"))
+def morphism_from_doc(d: _Doc) -> StrictMorphism:
+    ctx = d.ring("vars")
+    if "source" in d.doc or "target" in d.doc:
+        shared = {}
+        if "f" in d.doc:  # checked even where both sides override it
+            shared["f"] = d.get("f", str, "a string")
+            d.call("'f'", parse_poly, shared["f"], ctx)
+        sides = [_Doc({**shared, **d.get(key, dict, "an object")}, f"{d.path}#{key}")
+                 for key in ("source", "target")]
+        source, target = (MatFac(ctx, *_matfac_parts(side, ctx)) for side in sides)
     else:
-        source = target = matfac_from_doc(doc, path)
-    for key in ("alpha0", "alpha1"):
-        if key not in doc:
-            raise DocumentError(f"{path}: missing '{key}'")
-    a0 = _poly_matrix(ctx, doc["alpha0"], target.r0, source.r0, "alpha0", path)
-    a1 = _poly_matrix(ctx, doc["alpha1"], target.r1, source.r1, "alpha1", path)
+        source = target = matfac_from_doc(d)
+    a0 = d.matrix("alpha0", target.r0, source.r0, parse_poly, ctx)
+    a1 = d.matrix("alpha1", target.r1, source.r1, parse_poly, ctx)
     return StrictMorphism(source, target, a0, a1)
 
 
-def complex_from_doc(doc, path) -> ChainComplex:
-    ctx = _ctx(doc, path)
-    for key in ("min_degree", "ranks", "differentials"):
-        if key not in doc:
-            raise DocumentError(f"{path}: missing '{key}'")
-    if type(doc["min_degree"]) is not int:
-        raise DocumentError(f"{path}: 'min_degree' must be an integer")
-    if not isinstance(doc["ranks"], list):
-        raise DocumentError(f"{path}: 'ranks' must be a list of integers")
-    ranks = tuple(doc["ranks"])
-    for j, r in enumerate(ranks):
-        if type(r) is not int or r < 0:
-            raise DocumentError(f"{path}: 'ranks'[{j}] must be a non-negative integer")
-    count = max(len(ranks) - 1, 0)
-    if not isinstance(doc["differentials"], list) or len(doc["differentials"]) != count:
-        raise DocumentError(f"{path}: 'differentials' must be a list of {count} matrices")
-    diffs = []
-    for j, d in enumerate(doc["differentials"]):
-        diffs.append(
-            _poly_matrix(
-                ctx, d, ranks[j + 1], ranks[j], f"differentials[{j}]", path
-            )
-        )
-    return ChainComplex(ctx, doc["min_degree"], ranks, tuple(diffs))
-
-
-def ringmap_from_doc(doc, path) -> RingMap:
-    for key in ("source_vars", "target_vars", "images"):
-        if key not in doc:
-            raise DocumentError(f"{path}: missing '{key}'")
-    src = _ring(doc["source_vars"], f"{path}: 'source_vars'")
-    tgt = _ring(doc["target_vars"], f"{path}: 'target_vars'")
-    if not isinstance(doc["images"], list) or len(doc["images"]) != src.nvars:
+def complex_from_doc(d: _Doc) -> ChainComplex:
+    ctx = d.ring("vars")
+    min_degree = d.get("min_degree", int, "an integer")
+    ranks = d.items("'ranks'", d.get("ranks", list, "a list of integers"), None,
+                    "integers", lambda r: type(r) is int and r >= 0,
+                    "a non-negative integer")
+    if sum(ranks) > MAX_FOLDED_RANK:
         raise DocumentError(
-            f"{path}: 'images' must be a list of {src.nvars} strings, one per source variable"
+            f"{d.path}: 'ranks' add up to {sum(ranks)}, more than the "
+            f"{MAX_FOLDED_RANK} a folded factorization may have"
         )
-    for i, s in enumerate(doc["images"]):
-        if not isinstance(s, str):
-            raise DocumentError(f"{path}: 'images'[{i}] must be a string")
-    images = tuple(parse_poly(s, tgt) for s in doc["images"])
-    return RingMap(src, tgt, images)
+    count = max(len(ranks) - 1, 0)
+    grids = d.get("differentials", list, f"a list of {count} matrices")
+    d.items("'differentials'", grids, count, "matrices")
+    # each grid is read as a key of its own, so errors name 'differentials[j]'
+    cells = _Doc({f"differentials[{j}]": g for j, g in enumerate(grids)}, d.path)
+    diffs = tuple(
+        cells.matrix(f"differentials[{j}]", ranks[j + 1], ranks[j], parse_poly, ctx)
+        for j in range(count)
+    )
+    return ChainComplex(ctx, min_degree, tuple(ranks), diffs)
 
 
-def connection_from_doc(doc, path, M: MatFac) -> Connection:
-    ctx = M.ctx
+def ringmap_from_doc(d: _Doc) -> RingMap:
+    src, tgt = d.ring("source_vars"), d.ring("target_vars")
+    images = d.get("images", list, f"a list of {src.nvars} strings")
+    d.items("'images'", images, src.nvars, "strings", _is_str, "a string")
+    return RingMap(src, tgt, tuple(
+        d.call(f"'images'[{i}]", parse_poly, s, tgt) for i, s in enumerate(images)
+    ))
 
-    def form_matrix(rows_json, size, label):
-        _check_string_rows(rows_json, size, size, label, path)
-        entries = [[parse_form(e, ctx) for e in row] for row in rows_json]
-        return FormMatrix(ctx, size, size, entries)
 
-    g0 = form_matrix(doc.get("gamma0", []), M.r0, "gamma0")
-    g1 = form_matrix(doc.get("gamma1", []), M.r1, "gamma1")
-    try:
-        return Connection(M, g0, g1)
-    except RingError as e:
-        raise DocumentError(f"{path}: {e}") from None
+def connection_from_doc(d: _Doc, M: MatFac) -> Connection:
+    d = _Doc({"gamma0": [], "gamma1": [], **d.doc}, d.path)  # both may be omitted
+    g0 = d.matrix("gamma0", M.r0, M.r0, parse_form, M.ctx, FormMatrix)
+    g1 = d.matrix("gamma1", M.r1, M.r1, parse_form, M.ctx, FormMatrix)
+    return d.call("'gamma0'/'gamma1'", Connection, M, g0, g1)
 
 
 def _write_doc(doc, out):
@@ -249,12 +236,12 @@ def _write_doc(doc, out):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    doc = _load(args.file)
-    ctx = _ctx(doc, args.file)
-    f, A, B = _matfac_parts(ctx, doc, args.file)
+    d = _load(args.file)
+    ctx = d.ring("vars")
+    parts = _matfac_parts(d, ctx)
     try:
-        MatFac(ctx, f, A, B)
-    except (ValidationError, RingError) as e:
+        MatFac(ctx, *parts)
+    except ValidationError as e:
         print(f"FAIL: {e}")
         return EXIT_FAIL
     print("OK")
@@ -267,49 +254,49 @@ def _print_chern(ch):
 
 
 def cmd_chern(args) -> int:
-    M = matfac_from_doc(_load(args.file), args.file)
+    M = matfac_from_doc(_load(args.file))
     conn = None
     if args.gamma:
-        conn = connection_from_doc(_load(args.gamma), args.gamma, M)
+        conn = connection_from_doc(_load(args.gamma), M)
     _print_chern(chern_character(M, conn))
     return EXIT_OK
 
 
 def cmd_tensor(args) -> int:
-    a = matfac_from_doc(_load(args.a), args.a)
-    b = matfac_from_doc(_load(args.b), args.b)
+    a = matfac_from_doc(_load(args.a))
+    b = matfac_from_doc(_load(args.b))
     _write_doc(matfac_to_doc(tensor(a, b)), args.output)
     return EXIT_OK
 
 
 def cmd_cone(args) -> int:
-    theta = morphism_from_doc(_load(args.file), args.file)
+    theta = morphism_from_doc(_load(args.file))
     _write_doc(matfac_to_doc(cone(theta).cone), args.output)
     return EXIT_OK
 
 
 def cmd_shift(args) -> int:
-    M = matfac_from_doc(_load(args.file), args.file)
+    M = matfac_from_doc(_load(args.file))
     _write_doc(matfac_to_doc(shift(M)), args.output)
     return EXIT_OK
 
 
 def cmd_fold(args) -> int:
-    C = complex_from_doc(_load(args.file), args.file)
+    C = complex_from_doc(_load(args.file))
     _write_doc(matfac_to_doc(fold_complex(C)), args.output)
     return EXIT_OK
 
 
 def cmd_pushforward(args) -> int:
-    M = matfac_from_doc(_load(args.file), args.file)
-    phi = ringmap_from_doc(_load(args.ringmap), args.ringmap)
+    M = matfac_from_doc(_load(args.file))
+    phi = ringmap_from_doc(_load(args.ringmap))
     _write_doc(matfac_to_doc(pushforward(M, phi)), args.output)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    M = matfac_from_doc(_load(args.file), args.file)
-    new_ctx = _ring(args.vars, "--vars")
+    M = matfac_from_doc(_load(args.file))
+    new_ctx = RingCtx(tuple(args.vars))
     _write_doc(matfac_to_doc(embed(M, new_ctx)), args.output)
     return EXIT_OK
 
@@ -332,7 +319,7 @@ def _infer_ctx(vars_opt, potential, form) -> RingCtx:
     import re
 
     if vars_opt:
-        return _ring(vars_opt, "--vars")
+        return RingCtx(tuple(vars_opt))
     ident = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
     seen = []
     for tok in ident.findall(potential):
@@ -460,10 +447,8 @@ def cmd_check(args) -> int:
     else:
         pairs = [(p, None) for p in paths]
     for path, partner in pairs:
-        M = matfac_from_doc(_load(path), path)
-        other = (
-            matfac_from_doc(_load(partner), partner) if partner else None
-        )
+        M = matfac_from_doc(_load(path))
+        other = matfac_from_doc(_load(partner)) if partner else None
         for name in suites:
             rng = random.Random(args.seed)
             if name == "multiplicativity":
@@ -556,10 +541,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (DocumentError, ParseError) as e:
+    except (DocumentError, RingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, RingError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
     except InternalConsistencyError as e:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, log2
 from operator import add, le, sub
 from typing import Iterable, Mapping, Union
 
@@ -33,6 +33,14 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # term counts multiply past it.  A document can otherwise ask for an
 # expansion that never finishes, e.g. "(x+y+1)^400" (80601 terms).
 MAX_POWER_TERMS = 1000
+
+# The longest integer literal the tokenizer reads, which is the interpreter's
+# default int/str conversion limit.  A power or product whose coefficients
+# could outgrow it is refused too: "(3*x)^30000000" has one term but would
+# take minutes to expand, and its coefficients could not be printed.
+MAX_COEFF_DIGITS = 4300
+# ceil(log2 n) of every n < 10^MAX_COEFF_DIGITS is at most this
+_MAX_COEFF_BITS = ceil(MAX_COEFF_DIGITS * log2(10))
 
 
 class RingError(ValueError):
@@ -322,13 +330,12 @@ def _tokenize(text: str):
         if not m or m.end() == pos:
             raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
         if m.group(1) is not None:
-            try:
-                tokens.append(("int", int(m.group(1))))
-            except ValueError:  # past the interpreter's digit limit
+            if len(m.group(1)) > MAX_COEFF_DIGITS:
                 raise ParseError(
                     f"integer literal at position {m.start(1)} has "
                     f"{len(m.group(1))} digits, too many to convert"
-                ) from None
+                )
+            tokens.append(("int", int(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
@@ -337,15 +344,40 @@ def _tokenize(text: str):
     return tokens
 
 
+def _coeff_bits(p: Poly) -> int:
+    """An upper bound on log2(|numerator| * denominator) over p's coefficients.
+
+    ``(n - 1).bit_length()`` is ceil(log2 n), so a coefficient 1 counts 0.
+    """
+    return max(
+        ((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+         for c in p.terms.values()),
+        default=0,
+    )
+
+
+def _check_coeff_bits(bits: int, what: str):
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(
+            f"{what} could have coefficients of more than "
+            f"{MAX_COEFF_DIGITS} digits"
+        )
+
+
 def _bounded_product(p: Poly, q: Poly) -> Poly:
     """p * q for the parsers, refused before expanding when it could have
-    more than MAX_POWER_TERMS terms."""
-    size = len(p.terms) * len(q.terms)
-    if size > MAX_POWER_TERMS:
+    more than MAX_POWER_TERMS terms or MAX_COEFF_DIGITS-digit coefficients.
+
+    A coefficient of p * q sums at most min(#p, #q) products of one
+    coefficient of each factor."""
+    tp, tq = len(p.terms), len(q.terms)
+    if tp * tq > MAX_POWER_TERMS:
         raise ParseError(
-            f"product of a {len(p.terms)}-term and a {len(q.terms)}-term "
-            f"factor could expand to {size} terms (limit {MAX_POWER_TERMS})"
+            f"product of a {tp}-term and a {tq}-term "
+            f"factor could expand to {tp * tq} terms (limit {MAX_POWER_TERMS})"
         )
+    bits = _coeff_bits(p) + _coeff_bits(q) + (min(tp, tq) - 1).bit_length()
+    _check_coeff_bits(bits, f"product of a {tp}-term and a {tq}-term factor")
     return p * q
 
 
@@ -409,12 +441,21 @@ class _PolyParser:
             if tok[0] != "int":
                 raise ParseError(f"expected integer exponent, got {tok!r}")
             t, e = len(p.terms), tok[1]
-            size = comb(t + e - 1, e) if t > 1 else 1
-            if size > MAX_POWER_TERMS:
-                raise ParseError(
-                    f"power ^{e} of a {t}-term base could expand to "
-                    f"{size} terms (limit {MAX_POWER_TERMS})"
-                )
+            if t > 1:
+                # C(t+e-1, e) > e, so a longer e is refused uncounted: its
+                # count could have too many digits to print
+                size = comb(t + e - 1, e) if e <= MAX_POWER_TERMS else None
+                if size is None or size > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"power ^{e} of a {t}-term base could expand to "
+                        f"{size or f'more than {MAX_POWER_TERMS}'} terms "
+                        f"(limit {MAX_POWER_TERMS})"
+                    )
+            # each coefficient of p^e is at most (t * largest coefficient)^e
+            _check_coeff_bits(
+                e * (_coeff_bits(p) + (t - 1).bit_length()) if t else 0,
+                f"power ^{e} of a {t}-term base",
+            )
             p = p ** e
         return p
 
@@ -460,7 +501,9 @@ def _print_monomial(m: Monomial, ctx: RingCtx) -> str:
 def print_poly(p: Poly, ctx: RingCtx = None) -> str:
     """Deterministic printing: terms sorted descending by the ring order.
 
-    Round-trips through :func:`parse_poly`.
+    Round-trips through :func:`parse_poly`.  A coefficient or exponent too
+    long to convert to decimal, which the tokenizer would not read back
+    either, is a RingError.
     """
     ctx = ctx or p.ctx
     if p.is_zero():
@@ -468,14 +511,20 @@ def print_poly(p: Poly, ctx: RingCtx = None) -> str:
     out = []
     for m in sorted(p.terms, key=ctx.monomial_key, reverse=True):
         c = p.terms[m]
-        mono = _print_monomial(m, ctx)
         mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
+        try:
+            mono = _print_monomial(m, ctx)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+        except ValueError:  # str() past the interpreter's digit limit
+            raise RingError(
+                f"a result has a number of more than {MAX_COEFF_DIGITS} "
+                f"digits, too many to print"
+            ) from None
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:

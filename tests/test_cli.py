@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfchern import cli
 from mfchern.chern import InternalConsistencyError
@@ -17,6 +23,9 @@ THREEVAR = {
 }
 
 MORPHISM = {**KOSZUL, "alpha0": [["1"]], "alpha1": [["1"]]}
+
+# the same factorization over another ring
+KOSZUL_XZ = {**KOSZUL, "vars": ["x", "z"], "f": "x*z", "B": [["z"]]}
 
 COMPLEX = {
     "vars": ["x", "y"],
@@ -118,7 +127,7 @@ class TestDocumentErrors:
 
     @pytest.mark.parametrize("key,value,message", [
         ("f", 1, "'f' must be a string"),
-        ("A", 1, "'A' and 'B' must be lists of rows"),
+        ("A", 1, "'A' must be a list of rows"),
     ])
     def test_wrong_top_level_type(self, tmp_path, capsys, key, value, message):
         code, err = self.run(tmp_path, capsys, {**KOSZUL, key: value})
@@ -200,6 +209,72 @@ class TestDocumentErrors:
                 write(tmp_path, "rm.json", rm)]
         assert main(argv) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                      # not UTF-8
+        b"[" * 100000 + b"]" * 100000,      # nested past the recursion limit
+    ], ids=["not-utf8", "deep"])
+    def test_unreadable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"cannot read {path} as JSON" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["tensor", "{koszul}", "{xz}"], "tensor factors must share a ring context"),
+        (["pushforward", "{koszul}", "{xz_map}"], "not over the map's source ring"),
+        (["embed", "{koszul}", "--vars", "x", "z"], "unknown variable 'y'"),
+        (["nf", "--potential", "x*y", "--form", "x+dx"], "form must be homogeneous"),
+        (["check", "{koszul}", "{xz}", "--suite", "multiplicativity"],
+         "tensor factors must share a ring context"),
+    ], ids=["tensor", "pushforward", "embed", "nf", "check"])
+    def test_inputs_that_do_not_fit_together(self, tmp_path, capsys, argv, message):
+        paths = {
+            "koszul": write(tmp_path, "k.json", KOSZUL),
+            "xz": write(tmp_path, "xz.json", KOSZUL_XZ),
+            "xz_map": write(tmp_path, "rm.json", {"source_vars": ["x", "z"],
+                                                  "target_vars": ["x", "y"],
+                                                  "images": ["x", "y"]}),
+        }
+        assert main([a.format(**paths) for a in argv]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["validate", "{m}"], "^30000000 of a 1-term base could have coefficients"),
+        (["nf", "--potential", "x*y", "--form", "(1000*x)^2000*dx", "--vars", "x", "y"],
+         "^2000 of a 1-term base could have coefficients"),
+    ], ids=["validate", "nf"])
+    def test_coefficients_too_large_to_expand(self, tmp_path, capsys, argv, message):
+        path = write(tmp_path, "m.json", {**KOSZUL, "f": "(3*x)^30000000*y"})
+        start = time.perf_counter()
+        assert main([a.format(m=path) for a in argv]) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+
+    def test_result_too_long_to_print(self, tmp_path, capsys):
+        n = "9" * 4300  # the longest literal; twice it has 4301 digits
+        doc = {**KOSZUL, "f": f"{n}*x*y + {n}*x*y", "A": [[f"{n}*x + {n}*x"]]}
+        assert main(["shift", write(tmp_path, "m.json", doc)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "too many to print" in err
+
+    @pytest.mark.parametrize("ranks", [[1000, 0], [300000, 0], [1, cli.MAX_FOLDED_RANK]])
+    def test_declared_ranks_past_the_bound(self, tmp_path, capsys, ranks):
+        doc = {"vars": ["x"], "min_degree": 0, "ranks": ranks, "differentials": [[]]}
+        start = time.perf_counter()
+        assert main(["fold", write(tmp_path, "c.json", doc)]) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert f"'ranks' add up to {sum(ranks)}, more than the {cli.MAX_FOLDED_RANK}" in err
+
+    def test_declared_ranks_at_the_bound_fold(self, tmp_path, capsys):
+        doc = {"vars": ["x"], "min_degree": 0, "ranks": [cli.MAX_FOLDED_RANK, 0],
+               "differentials": [[]]}
+        assert main(["fold", write(tmp_path, "c.json", doc)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["A"]) == cli.MAX_FOLDED_RANK
 
 
 class TestTransforms:
@@ -338,3 +413,128 @@ class TestNormalForm:
     def test_parse_error_is_usage(self, capsys):
         assert main(["nf", "--potential", "x*(", "--form", "dx",
                      "--vars", "x"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents
+# ---------------------------------------------------------------------------
+
+RING_MAP = {"source_vars": ["x", "y"], "target_vars": ["x", "y"], "images": ["x + y", "y"]}
+GAMMA = {"gamma0": [["x*dy"]], "gamma1": [["3*dx + y*dy"]]}
+
+# (argv with {name} for each document, the documents; the first is mutated)
+FUZZ_CASES = [
+    (["validate", "{m}"], {"m": THREEVAR}),
+    (["chern", "{k}", "--gamma", "{g}"], {"g": GAMMA, "k": KOSZUL}),
+    (["cone", "{m}"], {"m": {**KOSZUL, "source": KOSZUL, "target": KOSZUL,
+                             "alpha0": [["1"]], "alpha1": [["1"]]}}),
+    (["fold", "{c}"], {"c": COMPLEX}),
+    (["pushforward", "{k}", "{r}"], {"r": RING_MAP, "k": KOSZUL}),
+]
+
+RETYPED = [
+    None, True, 0.5, -1, 3, "", "x", "dx", "x+dx", {}, [], [[]], ["x"], [["x", "y"]],
+    {"vars": ["x"]},
+]
+LARGE = [
+    "9" * 4300, "9" * 4301, "x^" + "9" * 4300, "(3*x)^30000000", "(2*x)^14285",
+    "(1000*x)^2000*dx", "(x+y+1)^" + "9" * 3000, "(x+y+1)^400", 64, 10 ** 6, 10 ** 30,
+]
+OPS = ["retype", "enlarge", "delete", "duplicate", "append", "drop", "wrap"]
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _paths(v, prefix + (i,))
+
+
+def _mutate(doc, path, op, payload):
+    """The JSON text of ``doc`` after one mutation at ``path``."""
+    if op == "duplicate" and path:  # the key twice in the top-level object
+        pairs = list(doc.items()) + [(path[0], payload)]
+        return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    if not path:
+        return json.dumps({"retype": payload, "wrap": [doc]}.get(op, doc))
+    *head, last = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    value = parent[last]
+    if op == "enlarge" and type(value) is str and type(payload) is str:
+        parent[last] = f"{value}*{payload}"
+    elif op in ("retype", "enlarge"):
+        parent[last] = payload
+    elif op == "delete":
+        del parent[last]
+    elif op == "wrap":
+        parent[last] = [value]
+    elif isinstance(value, list) and op == "append":
+        value.append(value[-1] if value else payload)
+    elif isinstance(value, list) and op == "drop" and value:
+        value.pop()
+    return json.dumps(doc)
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A valid case with one or two mutations of its first document."""
+    argv, docs = draw(st.sampled_from(FUZZ_CASES))
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    first = next(iter(docs))
+    for _ in range(draw(st.integers(1, 2))):
+        doc = json.loads(texts[first])
+        path = draw(st.sampled_from(list(_paths(doc))))
+        op = draw(st.sampled_from(OPS))
+        payload = draw(st.sampled_from(LARGE if op == "enlarge" else RETYPED))
+        texts[first] = _mutate(doc, path, op, payload)
+    return argv, {name: text.encode() for name, text in texts.items()}
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _doc(doc):
+    return json.dumps(doc).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fuzz_cases())
+@example((["validate", "{m}"], {"m": b"\xff\xfe{}"}))
+@example((["validate", "{m}"], {"m": b"[" * 100000 + b"]" * 100000}))
+@example((["tensor", "{a}", "{b}"], {"a": _doc(KOSZUL), "b": _doc(KOSZUL_XZ)}))
+@example((["pushforward", "{k}", "{r}"], {"k": _doc(KOSZUL), "r": _doc(
+    {**RING_MAP, "source_vars": ["x", "z"]})}))
+@example((["embed", "{k}", "--vars", "x", "z"], {"k": _doc(KOSZUL)}))
+@example((["nf", "--potential", "x*y", "--form", "x+dx"], {}))
+@example((["check", "{a}", "{b}", "--suite", "multiplicativity"],
+          {"a": _doc(KOSZUL), "b": _doc(KOSZUL_XZ)}))
+@example((["validate", "{m}"], {"m": _doc({**KOSZUL, "f": "(3*x)^30000000*y"})}))
+@example((["nf", "--potential", "x*y", "--form", "(1000*x)^2000*dx", "--vars", "x", "y"], {}))
+@example((["fold", "{c}"], {"c": _doc(
+    {"vars": ["x"], "min_degree": 0, "ranks": [1000, 0], "differentials": [[]]})}))
+@example((["fold", "{c}"], {"c": _doc(
+    {"vars": ["x"], "min_degree": 0, "ranks": [300000, 0], "differentials": [[]]})}))
+def test_fuzzed_documents(case):
+    """Whatever the document, an exit code in {0, 1, 2}, no traceback, and the
+    same output from a second run."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, content in files.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "wb") as fh:
+                fh.write(content)
+        argv = [a.format(**paths) for a in argv]
+        first = _run_in_process(argv)
+        assert first[0] in (0, 1, 2), first
+        assert "Traceback" not in first[2]
+        assert _run_in_process(argv) == first

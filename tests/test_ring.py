@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,33 @@ class TestParsing:
         with pytest.raises(ParseError, match="position 4 has 5000 digits"):
             parse_poly("x + " + "1" * 5000, CTX)
 
+    def test_coefficient_bound_refuses_a_one_term_power_before_expanding(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"\^30000000 of a 1-term base could "
+                                             r"have coefficients of more than 4300 digits"):
+            parse_poly("(3*x)^30000000*y", CTX)
+        assert time.perf_counter() - start < 1
+
+    def test_coefficient_bound_is_exact(self):
+        # the estimate for (2x)^e is e bits, and the bound is
+        # ceil(4300 log2 10) = 14285 bits
+        assert ring_module._MAX_COEFF_BITS == 14285
+        assert parse_poly("(2*x)^14285", CTX).terms == {(14285, 0, 0): 2 ** 14285}
+        with pytest.raises(ParseError, match=r"\^14286 of a 1-term base"):
+            parse_poly("(2*x)^14286", CTX)
+        # a product adds the factors' estimates
+        parse_poly("(2*x)^7000*(2*y)^7285", CTX)
+        with pytest.raises(ParseError, match="1-term and a 1-term factor could have"):
+            parse_poly("(2*x)^7000*(2*y)^7286", CTX)
+        # every literal the tokenizer reads is under the bound
+        parse_poly("9" * 4300 + "*x*y", CTX)
+
+    def test_long_exponent_of_a_sum_is_refused_uncounted(self):
+        with pytest.raises(ParseError, match="more than 1000 terms"):
+            parse_poly("(x+y+1)^" + "9" * 3000, CTX)
+        # a unit coefficient never grows, whatever the exponent
+        assert parse_poly("x^" + "9" * 4300, CTX).terms == {(10 ** 4300 - 1, 0, 0): 1}
+
     @pytest.mark.parametrize("text", [
         "x^400", "x^400*y^400*z^400", "(2/3)^400", "(x*y)^400", "(x+y)^0",
         "x^6", "x^3 + y*z", "(x+2)*z^2 + y^2", "(x+y+z+1)^14",
@@ -87,6 +115,14 @@ class TestParsing:
     @given(polys(CTX))
     def test_print_parse_round_trip(self, p):
         assert parse_poly(print_poly(p), CTX) == p
+
+    @pytest.mark.parametrize("terms", [
+        {(0, 0, 0): 2 * 10 ** 4300}, {(1, 0, 0): Fraction(1, 10 ** 4300)},
+        {(10 ** 4300, 0, 0): 1},
+    ])
+    def test_print_refuses_numbers_past_the_digit_limit(self, terms):
+        with pytest.raises(RingError, match="more than 4300 digits, too many to print"):
+            print_poly(Poly(CTX, terms))
 
 
 class TestArithmetic:
