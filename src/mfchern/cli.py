@@ -58,7 +58,15 @@ from .mf import (
     shift,
     tensor,
 )
-from .ring import Poly, RingCtx, RingError, parse_poly, print_poly
+from .ring import (
+    Poly,
+    RingCtx,
+    RingError,
+    _differential,
+    _tokenize,
+    parse_poly,
+    print_poly,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -316,20 +324,15 @@ def _infer_ctx(vars_opt, potential, form) -> RingCtx:
     an identifier 'dv' with v already known is a differential, anything else
     is a variable.  First-appearance order.
     """
-    import re
-
     if vars_opt:
         return RingCtx(tuple(vars_opt))
-    ident = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
     seen = []
-    for tok in ident.findall(potential):
-        if tok not in seen:
-            seen.append(tok)
-    for tok in ident.findall(form):
-        if tok.startswith("d") and tok[1:] in seen:
-            continue
-        if tok not in seen:
-            seen.append(tok)
+    for text, forms in ((potential, False), (form, True)):
+        for kind, tok in _tokenize(text):
+            if kind == "name" and tok not in seen and not (
+                forms and _differential(tok, seen)
+            ):
+                seen.append(tok)
     if not seen:
         raise DocumentError("cannot infer variables; pass --vars")
     return RingCtx(tuple(seen))

@@ -10,17 +10,7 @@ from __future__ import annotations
 from operator import add
 from typing import Mapping
 
-from .ring import (
-    Matrix,
-    ParseError,
-    Poly,
-    RingCtx,
-    RingError,
-    _bounded_product,
-    _PolyParser,
-    _tokenize,
-    print_poly,
-)
+from .ring import Matrix, Poly, RingCtx, RingError, _PolyParser, print_poly
 
 
 class Form:
@@ -161,117 +151,47 @@ def exterior_derivative(a: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 def parse_form(text: str, ctx: RingCtx) -> Form:
-    """Parse a sum of terms 'poly * d<var>^d<var>...'; '^' joins wedges."""
-    tokens = _tokenize(text)
+    """Parse a form: the polynomial grammar of :func:`ring.parse_poly` with
+    one more kind of factor, a differential chain 'dv^dw^...' (see
+    ``ring._PolyParser``), as in "(x+1)*dx^dy + 3*dz"."""
     out = Form.zero(ctx)
-    pos = 0
-    n = len(tokens)
-    sign = 1
-    # leading sign
-    while pos < n and tokens[pos] in (("op", "+"), ("op", "-")):
-        if tokens[pos] == ("op", "-"):
-            sign = -sign
-        pos += 1
-    while pos < n:
-        # collect one additive term: factors separated by '*'
-        coeff = Poly.const(ctx, sign)
-        dchain = []
-        expect_factor = True
-        while pos < n:
-            tok = tokens[pos]
-            if tok in (("op", "+"), ("op", "-")) and not expect_factor:
-                break
-            if tok == ("op", "*"):
-                pos += 1
-                expect_factor = True
-                continue
-            if tok[0] == "name" and _is_differential(tok[1], ctx):
-                chain, pos = _parse_dchain(tokens, pos, ctx)
-                dchain.extend(chain)
-                expect_factor = False
-                continue
-            # otherwise parse one polynomial factor with the poly parser
-            factor, pos = _parse_poly_factor(tokens, pos, ctx)
-            coeff = _bounded_product(coeff, factor)
-            expect_factor = False
+    for coeff, chain in _PolyParser(text, ctx).parse(forms=True):
         term = Form.from_poly(coeff)
-        for i in dchain:
+        for i in chain:
             term = wedge(term, Form.d_var(ctx, i))
         out = out + term
-        sign = 1
-        while pos < n and tokens[pos] in (("op", "+"), ("op", "-")):
-            if tokens[pos] == ("op", "-"):
-                sign = -sign
-            pos += 1
-        if pos >= n:
-            break
     return out
 
 
-def _is_differential(name: str, ctx: RingCtx) -> bool:
-    return name.startswith("d") and name[1:] in ctx.variables
-
-
-def _parse_dchain(tokens, pos, ctx):
-    chain = []
-    while True:
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of form expression")
-        tok = tokens[pos]
-        if tok[0] != "name" or not _is_differential(tok[1], ctx):
-            raise ParseError(f"expected differential, got {tok!r}")
-        chain.append(ctx.var_index(tok[1][1:]))
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == ("op", "^"):
-            pos += 1
-            continue
-        return chain, pos
-
-
-def _parse_poly_factor(tokens, pos, ctx):
-    parser = _PolyParser(tokens, ctx)
-    parser.pos = pos
-    p = parser.factor()
-    return p, parser.pos
-
-
 def print_form(w: Form, ctx: RingCtx = None) -> str:
-    """Deterministic printing; index tuples sorted lexicographically."""
+    """Deterministic printing; index tuples sorted lexicographically.
+
+    The sign of a one-term coefficient is the sign of its term; a longer
+    coefficient of a differential goes in parentheses."""
     ctx = ctx or w.ctx
     if w.is_zero():
         return "0"
     parts = []
     for idx in sorted(w.components):
         p = w.components[idx]
-        ptxt = print_poly(p, ctx)
-        if idx == ():
-            body, neg = _signed(ptxt)
-        else:
+        atomic = len(p.terms) == 1
+        neg = atomic and min(p.terms.values()) < 0
+        if neg:
+            p = -p
+        body = print_poly(p, ctx)
+        if idx:
             dtxt = "^".join(f"d{ctx.variables[i]}" for i in idx)
-            if ptxt == "1":
-                body, neg = dtxt, False
-            elif ptxt == "-1":
-                body, neg = dtxt, True
-            elif _is_atomic(ptxt):
-                body, neg = _signed(ptxt)
+            if p == Poly.one(p.ctx):
+                body = dtxt
+            elif atomic:
                 body = f"{body}*{dtxt}"
             else:
-                body, neg = f"({ptxt})*{dtxt}", False
+                body = f"({body})*{dtxt}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
             parts.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(parts)
-
-
-def _signed(ptxt: str):
-    if ptxt.startswith("-") and "+" not in ptxt and "- " not in ptxt[1:]:
-        return ptxt[1:], True
-    return ptxt, False
-
-
-def _is_atomic(ptxt: str):
-    return " " not in ptxt
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,14 @@ def k_subsets(ctx: RingCtx, k: int):
     return list(itertools.combinations(range(ctx.nvars), k))
 
 
+def _coordinates(w: Form, subsets) -> tuple:
+    """The k-form w as a vector of Omega^k, whose basis positions are the
+    k-subsets ``subsets`` of :func:`k_subsets`."""
+    vec = dict.fromkeys(subsets, Poly.zero(w.ctx))
+    vec.update(w.components)
+    return tuple(vec.values())
+
+
 def df_form(f: Poly) -> Form:
     acc = {}
     for i in range(f.ctx.nvars):
@@ -341,17 +349,12 @@ def df_image_module_gb(f: Poly, k: int) -> ModuleGB:
     if not 1 <= k <= n:
         raise RingError(f"degree {k} out of range 1..{n}")
     subsets = k_subsets(ctx, k)
-    index_of = {s: i for i, s in enumerate(subsets)}
     df = df_form(f)
     vectors = []
     for K in k_subsets(ctx, k - 1):
         w = wedge(df, Form(ctx, {K: Poly.one(ctx)}))
-        if w.is_zero():
-            continue
-        vec = [Poly.zero(ctx)] * len(subsets)
-        for idx, p in w.components.items():
-            vec[index_of[idx]] = p
-        vectors.append(tuple(vec))
+        if not w.is_zero():
+            vectors.append(_coordinates(w, subsets))
     return module_buchberger(vectors, len(subsets), ctx)
 
 
@@ -375,9 +378,5 @@ def form_normal_form(w: Form, f: Poly) -> Form:
         return Form.zero(ctx)
     mgb = _cached_df_image_gb(f, k)
     subsets = k_subsets(ctx, k)
-    index_of = {s: i for i, s in enumerate(subsets)}
-    vec = [Poly.zero(ctx)] * len(subsets)
-    for idx, p in w.components.items():
-        vec[index_of[idx]] = p
-    nf = module_normal_form(tuple(vec), mgb)
+    nf = module_normal_form(_coordinates(w, subsets), mgb)
     return Form(ctx, {s: p for s, p in zip(subsets, nf) if not p.is_zero()})

@@ -297,7 +297,11 @@ class Poly:
         )
 
     def substitute(self, target_ctx: RingCtx, images: "tuple[Poly, ...]") -> "Poly":
-        """Evaluate under x_i -> images[i]; images live in target_ctx."""
+        """Evaluate under x_i -> images[i]; images live in target_ctx.
+
+        Each power images[i]^e is bounded as a parsed power is: one that
+        could expand too far is a RingError, raised before it is expanded,
+        that names e and the image's term count."""
         if len(images) != self.ctx.nvars:
             raise RingError("one image per source variable required")
         out = Poly.zero(target_ctx)
@@ -307,7 +311,10 @@ class Poly:
             for i, e in enumerate(m):
                 if e:
                     if (i, e) not in cache:
-                        cache[(i, e)] = images[i] ** e
+                        cache[(i, e)] = _bounded_power(
+                            images[i], e, RingError,
+                            f"image of {self.ctx.variables[i]!r}",
+                        )
                     term = term * cache[(i, e)]
             out = out + term
         return out
@@ -356,16 +363,16 @@ def _coeff_bits(p: Poly) -> int:
     )
 
 
-def _check_coeff_bits(bits: int, what: str):
+def _check_coeff_bits(bits: int, what: str, error=ParseError):
     if bits > _MAX_COEFF_BITS:
-        raise ParseError(
+        raise error(
             f"{what} could have coefficients of more than "
             f"{MAX_COEFF_DIGITS} digits"
         )
 
 
 def _bounded_product(p: Poly, q: Poly) -> Poly:
-    """p * q for the parsers, refused before expanding when it could have
+    """p * q for the parser, refused before expanding when it could have
     more than MAX_POWER_TERMS terms or MAX_COEFF_DIGITS-digit coefficients.
 
     A coefficient of p * q sums at most min(#p, #q) products of one
@@ -381,13 +388,56 @@ def _bounded_product(p: Poly, q: Poly) -> Poly:
     return p * q
 
 
-class _PolyParser:
-    """Recursive descent for: expr := term (('+'|'-') term)*;
-    term := factor ('*' factor)*; factor := base ('^' nat)?;
-    base := var | rational | '(' expr ')'."""
+def _bounded_power(p: Poly, e: int, error=ParseError, base="base") -> Poly:
+    """p ** e, refused with ``error`` before expanding when it could have more
+    than MAX_POWER_TERMS terms or MAX_COEFF_DIGITS-digit coefficients.
 
-    def __init__(self, tokens, ctx: RingCtx):
-        self.tokens = tokens
+    The parser and :meth:`Poly.substitute` share this bound; ``base`` names
+    p in the message, which also gives e and p's term count t."""
+    t = len(p.terms)
+    what = f"power ^{e} of a {t}-term {base}"
+    if t > 1:
+        # p^e has at most C(t+e-1, e) terms, and C(t+e-1, e) > e, so a
+        # longer e is refused uncounted: its count could be too long to print
+        size = comb(t + e - 1, e) if e <= MAX_POWER_TERMS else None
+        if size is None or size > MAX_POWER_TERMS:
+            raise error(
+                f"{what} could expand to "
+                f"{size or f'more than {MAX_POWER_TERMS}'} terms "
+                f"(limit {MAX_POWER_TERMS})"
+            )
+    # each coefficient of p^e is at most (t * largest coefficient)^e
+    _check_coeff_bits(
+        e * (_coeff_bits(p) + (t - 1).bit_length()) if t else 0, what, error
+    )
+    return p ** e
+
+
+_SIGNS = (("op", "+"), ("op", "-"))
+
+
+def _differential(name: str, variables):
+    """The variable v when ``name`` is its differential 'd<v>', else None."""
+    return name[1:] if name[:1] == "d" and name[1:] in variables else None
+
+
+class _PolyParser:
+    """Recursive descent for polynomials and forms:
+
+        expr   := ('+' | '-')* term (('+' | '-') term)*
+        term   := factor ('*' factor)*
+        factor := base ('^' nat)? | dchain
+        base   := var | rational | '(' expr ')'
+        dchain := dvar ('^' dvar)*
+
+    A dvar is 'd<var>' for a ring variable var, and ``^`` between two of
+    them is their wedge.  Differentials are read only at the top level of a
+    form: a parenthesised expr is a polynomial, and so is a whole input
+    parsed with ``forms=False``.
+    """
+
+    def __init__(self, text: str, ctx: RingCtx):
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = ctx
 
@@ -406,30 +456,53 @@ class _PolyParser:
         if tok != ("op", op):
             raise ParseError(f"expected {op!r}, got {tok!r}")
 
-    def parse(self) -> Poly:
-        p = self.expr()
+    def parse(self, forms: bool = False) -> list:
+        """The whole input as its top-level terms ``(coefficient, chain)``:
+        ``chain`` lists the variable indices of the term's differentials in
+        the order written, and is empty unless ``forms``."""
+        terms = self.terms(forms)
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
-        return p
+        return terms
 
-    def expr(self) -> Poly:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.next() == ("op", "-"):
-                sign = -sign
-        p = self.term() * sign
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+    def terms(self, forms: bool) -> list:
+        negate = False
+        while self.peek() in _SIGNS:
+            negate ^= self.next() == ("op", "-")
+        out = []
+        while True:
+            p, chain = self.term(forms)
+            out.append((-p if negate else p, chain))
+            if self.peek() not in _SIGNS:
+                return out
+            negate = self.next() == ("op", "-")
 
-    def term(self) -> Poly:
-        p = self.factor()
-        while self.peek() == ("op", "*"):
+    def term(self, forms: bool):
+        p, chain = None, []
+        while True:
+            tok = self.peek()
+            if forms and tok and tok[0] == "name" and _differential(
+                tok[1], self.ctx.variables
+            ):
+                chain += self.dchain()
+            else:
+                q = self.factor()
+                p = q if p is None else _bounded_product(p, q)
+            if self.peek() != ("op", "*"):
+                return (Poly.one(self.ctx) if p is None else p), tuple(chain)
             self.next()
-            p = _bounded_product(p, self.factor())
-        return p
+
+    def dchain(self) -> list:
+        chain = []
+        while True:
+            tok = self.next()
+            v = tok[0] == "name" and _differential(tok[1], self.ctx.variables)
+            if not v:
+                raise ParseError(f"expected differential, got {tok!r}")
+            chain.append(self.ctx.var_index(v))
+            if self.peek() != ("op", "^"):
+                return chain
+            self.next()
 
     def factor(self) -> Poly:
         p = self.base()
@@ -440,23 +513,7 @@ class _PolyParser:
                 raise ParseError("negative exponent")
             if tok[0] != "int":
                 raise ParseError(f"expected integer exponent, got {tok!r}")
-            t, e = len(p.terms), tok[1]
-            if t > 1:
-                # C(t+e-1, e) > e, so a longer e is refused uncounted: its
-                # count could have too many digits to print
-                size = comb(t + e - 1, e) if e <= MAX_POWER_TERMS else None
-                if size is None or size > MAX_POWER_TERMS:
-                    raise ParseError(
-                        f"power ^{e} of a {t}-term base could expand to "
-                        f"{size or f'more than {MAX_POWER_TERMS}'} terms "
-                        f"(limit {MAX_POWER_TERMS})"
-                    )
-            # each coefficient of p^e is at most (t * largest coefficient)^e
-            _check_coeff_bits(
-                e * (_coeff_bits(p) + (t - 1).bit_length()) if t else 0,
-                f"power ^{e} of a {t}-term base",
-            )
-            p = p ** e
+            p = _bounded_power(p, tok[1])
         return p
 
     def base(self) -> Poly:
@@ -477,7 +534,7 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {tok[1]!r}")
             return Poly.variable(self.ctx, self.ctx.var_index(tok[1]))
         if tok == ("op", "("):
-            p = self.expr()
+            p = sum((q for q, _ in self.terms(False)), Poly.zero(self.ctx))
             self.expect_op(")")
             return p
         raise ParseError(f"unexpected token {tok!r}")
@@ -485,7 +542,7 @@ class _PolyParser:
 
 def parse_poly(text: str, ctx: RingCtx) -> Poly:
     """Parse an expression over the declared variables into canonical form."""
-    return _PolyParser(_tokenize(text), ctx).parse()
+    return sum((p for p, _ in _PolyParser(text, ctx).parse()), Poly.zero(ctx))
 
 
 def _print_monomial(m: Monomial, ctx: RingCtx) -> str:

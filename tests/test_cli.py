@@ -142,6 +142,11 @@ class TestDocumentErrors:
         code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
         assert code == cli.EXIT_USAGE and "'gamma0'[0][0] must be a string" in err
 
+    def test_empty_gamma_entry(self, tmp_path, capsys):
+        gamma = {"gamma0": [[""]], "gamma1": [["dx"]]}
+        code, err = self.run(tmp_path, capsys, KOSZUL, gamma)
+        assert code == cli.EXIT_USAGE and "'gamma0'[0][0]: unexpected end of input" in err
+
     def test_duplicate_vars(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, {**KOSZUL, "vars": ["x", "x"]})
         assert code == cli.EXIT_USAGE and "variable names must be unique" in err
@@ -253,6 +258,17 @@ class TestDocumentErrors:
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
+
+    def test_base_change_too_large_to_expand(self, tmp_path, capsys):
+        doc = {**KOSZUL, "f": "x^300*y", "A": [["x^300"]]}
+        rm = {"source_vars": ["x", "y"], "target_vars": ["x", "y"],
+              "images": ["x+y+1", "y"]}
+        argv = ["pushforward", write(tmp_path, "m.json", doc), write(tmp_path, "rm.json", rm)]
+        start = time.perf_counter()
+        assert main(argv) == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "power ^300 of a 3-term image of 'x'" in err
 
     def test_result_too_long_to_print(self, tmp_path, capsys):
         n = "9" * 4300  # the longest literal; twice it has 4301 digits
@@ -414,6 +430,17 @@ class TestNormalForm:
         assert main(["nf", "--potential", "x*(", "--form", "dx",
                      "--vars", "x"]) == 2
 
+    @pytest.mark.parametrize("form", ["x+", "", "x dx", "dx @ dy"])
+    @pytest.mark.parametrize("given_vars", [[], ["--vars", "x", "y"]], ids=["inferred", "given"])
+    def test_malformed_form_is_usage(self, capsys, form, given_vars):
+        assert main(["nf", "--potential", "x*y", "--form", form] + given_vars) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_inferred_variables(self, capsys):
+        # 'dx' is a differential once x is known; 'dz' names a variable
+        assert cli._infer_ctx(None, "x*y", "dx + x*dy").variables == ("x", "y")
+        assert cli._infer_ctx(None, "2*x^2", "y*dy + dz").variables == ("x", "y", "dz")
+
 
 # ---------------------------------------------------------------------------
 # fuzzed documents
@@ -430,6 +457,9 @@ FUZZ_CASES = [
                              "alpha0": [["1"]], "alpha1": [["1"]]}}),
     (["fold", "{c}"], {"c": COMPLEX}),
     (["pushforward", "{k}", "{r}"], {"r": RING_MAP, "k": KOSZUL}),
+    (["shift", "{m}"], {"m": THREEVAR}),
+    (["tensor", "{a}", "{b}"], {"a": KOSZUL, "b": KOSZUL}),
+    (["embed", "{k}", "--vars", "x", "y", "z"], {"k": KOSZUL}),
 ]
 
 RETYPED = [

@@ -13,6 +13,7 @@ from mfchern import (
     fm_mul,
     graded_trace,
     parse_form,
+    parse_poly,
     print_form,
     wedge,
 )
@@ -21,6 +22,10 @@ from mfchern.ring import ParseError, RingError
 from conftest import polys, rand_poly, ring
 
 CTX = ring("x", "y", "z")
+
+# tokens of the polynomial grammar; joined, they include truncated and
+# malformed strings
+POLY_ALPHABET = ["x", "y", "z", "0", "1", "2", "+", "-", "*", "/", "^", "(", ")", " "]
 
 
 def forms(degree, max_terms=3):
@@ -99,14 +104,48 @@ class TestFormSyntax:
         assert parse_form("0", CTX).is_zero()
         assert print_form(Form.zero(CTX)) == "0"
 
-    @pytest.mark.parametrize("bad", ["dx^", "dx^x", "dw", "x^dy"])
+    @pytest.mark.parametrize("bad", [
+        "dx^", "dx^x", "dw", "x^dy", "", "+", "x+", "x*", "x**dx", "x dx", "dx dy",
+    ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_form(bad, CTX)
 
+    def test_parentheses_hold_polynomials(self):
+        with pytest.raises(ParseError, match="unknown variable 'dx'"):
+            parse_form("(x + dx)*dy", CTX)
+        assert parse_form("dx*(x+1)*dy", CTX) == parse_form("(x + 1)*dx^dy", CTX)
+
+    @given(st.lists(st.sampled_from(POLY_ALPHABET), max_size=10).map("".join))
+    @settings(derandomize=True, max_examples=300)
+    def test_same_grammar_as_polynomials(self, text):
+        """Over the polynomial alphabet, truncated strings included, a form
+        parses exactly as the polynomial does, or both are refused."""
+        try:
+            p = parse_poly(text, CTX)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_form(text, CTX)
+        else:
+            assert parse_form(text, CTX) == Form.from_poly(p)
+
+    @pytest.mark.parametrize("components,text", [
+        ({(0,): "-1"}, "-dx"),
+        ({(0,): "-3*x"}, "-3*x*dx"),
+        ({(0, 1): "-1/2"}, "-1/2*dx^dy"),
+        ({(0,): "x - 1"}, "(x - 1)*dx"),
+        ({(0,): "-x + 1"}, "(-x + 1)*dx"),
+        ({(): "-2"}, "-2"),
+        ({(): "-x + 1", (1,): "-1"}, "-x + 1 - dy"),
+        ({(): "7", (0,): "1", (1, 2): "-y*z"}, "7 + dx - y*z*dy^dz"),
+    ])
+    def test_print_exact_text(self, components, text):
+        w = Form(CTX, {i: parse_poly(p, CTX) for i, p in components.items()})
+        assert print_form(w) == text
+
     def test_refuses_a_coefficient_product_too_large_to_expand(self):
-        # the form parser multiplies coefficient factors itself; it shares
-        # the polynomial parser's bound
+        # a form's coefficient factors are multiplied by the polynomial
+        # parser, under its bound
         with pytest.raises(ParseError, match="84-term and a 84-term factor"):
             parse_form("(x+y+z+1)^6*(x+y+z+1)^6*(x+y+z+1)^6*dx", CTX)
         assert parse_form("(x+1)*(y-2)*dx^dy", CTX) == parse_form(

@@ -1,6 +1,6 @@
-"""Byte-identity of results: every ``gb_cold`` pool job and every
-``check_cli`` document, run in-process, against the SHA-256 pins in
-``perfbench/reference.json``.
+"""Byte-identity of results: every ``gb_cold`` pool job, every ``check_cli``
+document and the random-connection ``chern_koszul`` jobs, run in-process,
+against the SHA-256 pins in ``perfbench/reference.json``.
 
 The reduced Groebner bases, normal forms and CLI reports are unique, so a
 change of algorithm or coefficient representation must leave every digest
@@ -26,5 +26,18 @@ def test_pool_outputs_match_pins(name, monkeypatch):
     workload = WORKLOADS[name]
     jobs = workload.prepare(workload.pool(), in_process=True)
     assert len(jobs) == len(pins)
+    mismatched = [j.key for j in jobs if digest(j.render(j.fn())) != pins[j.key]]
+    assert mismatched == []
+
+
+def test_printed_chern_characters_match_pins():
+    """The printed ch of the eight random-connection ``chern_koszul`` jobs
+    (n = 4, a fraction of a second in all); the n = 8 tower entries take
+    seconds together and stay with the benchmark."""
+    pins = json.loads((PERFBENCH / "reference.json").read_text())["chern_koszul"]
+    workload = WORKLOADS["chern_koszul"]
+    specs = [spec for spec in workload.pool() if spec["r"] is not None]
+    assert len(specs) == 8
+    jobs = workload.prepare(specs)
     mismatched = [j.key for j in jobs if digest(j.render(j.fn())) != pins[j.key]]
     assert mismatched == []

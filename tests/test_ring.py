@@ -54,6 +54,9 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(ParseError):
             parse_poly("w + 1", CTX)
+        # a differential is not a polynomial
+        with pytest.raises(ParseError, match="unknown variable 'dx'"):
+            parse_poly("x*dx", CTX)
 
     def test_power_bound_refuses_before_expanding(self):
         with pytest.raises(ParseError, match=r"\^400 .* 80601 terms"):
@@ -244,6 +247,30 @@ class TestSubstitute:
         p = parse_poly("t^2 + 1", src)
         q = p.substitute(tgt, (parse_poly("u*v", tgt),))
         assert q == parse_poly("u^2*v^2 + 1", tgt)
+
+    def test_power_of_an_image_is_refused_before_expanding(self):
+        tgt = ring("x", "y")
+        images = (parse_poly("x+y+1", tgt), parse_poly("y", tgt))
+        start = time.perf_counter()
+        with pytest.raises(RingError, match=r"power \^300 of a 3-term image of 'x' "
+                                            r"could expand to 45451 terms") as err:
+            parse_poly("x^300*y", tgt).substitute(tgt, images)
+        assert time.perf_counter() - start < 1
+        assert not isinstance(err.value, ParseError)
+        with pytest.raises(RingError, match=r"\^20000 of a 1-term image of 'x' could "
+                                            r"have coefficients of more than 4300 digits"):
+            parse_poly("x^20000", tgt).substitute(tgt, (parse_poly("2*x", tgt),) * 2)
+
+    def test_substitution_shares_the_power_bound(self, monkeypatch):
+        # (x+y)^e has e+1 terms: the parser's bound, exactly
+        monkeypatch.setattr(ring_module, "MAX_POWER_TERMS", 10)
+        tgt = ring("x", "y")
+        images = (parse_poly("x+y", tgt), parse_poly("y", tgt))
+        assert parse_poly("x^9", tgt).substitute(tgt, images) == parse_poly("(x+y)^9", tgt)
+        with pytest.raises(RingError, match=r"\^10 of a 2-term image"):
+            parse_poly("x^10", tgt).substitute(tgt, images)
+        # a monomial image is never refused for its term count
+        parse_poly("x^400*y^400", tgt).substitute(tgt, (images[1], images[1]))
 
 
 # ---------------------------------------------------------------------------
