@@ -261,13 +261,15 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
 
         str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
 
-    while odd powers have zero diagonal blocks and are never formed.  Only
-    the diagonal of the last power of each chain is computed.  Two proved
-    identities are re-verified on the way: tr(Y^i) = -tr(X^i) (the graded
-    cyclicity of the trace for matrices of 1-forms) and the cycle condition
-    df ^ str(At^(2i)) = 0.  A failure means the library is broken, not the
-    input, hence InternalConsistencyError.  The dense path (atiyah_power,
-    supertrace) stays public as the independent oracle for this kernel.
+    while odd powers have zero diagonal blocks and are never formed.  Each
+    chain forms its powers only up to half the top one, rounded up, and
+    reads the higher traces off diagonal products (:func:`_power_traces`).
+    Two proved identities are re-verified on the way: tr(Y^i) = -tr(X^i)
+    (the graded cyclicity of the trace for matrices of 1-forms) and the
+    cycle condition df ^ str(At^(2i)) = 0.  A failure means the library is
+    broken, not the input, hence InternalConsistencyError.  The dense path
+    (atiyah_power, supertrace) stays public as the independent oracle for
+    this kernel.
     """
     conn = conn or connection_default(M)
     ctx = M.ctx
@@ -293,17 +295,16 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
 
 
 def _power_traces(X: FormMatrix, top: int) -> list:
-    """[tr(X^1), ..., tr(X^top)]; of X^top only the diagonal is formed."""
-    if top == 0:
-        return []
-    traces = [graded_trace(X)]
-    power = X  # X^k with k = len(traces)
-    while len(traces) < top - 1:
-        power = fm_mul(power, X)
-        traces.append(graded_trace(power))
-    if top > 1:
-        traces.append(_trace_of_product(power, X))
-    return traces
+    """[tr(X^1), ..., tr(X^top)].  Only the powers X^k with k <= h =
+    ceil(top/2) are formed; tr(X^(h+j)) = tr(X^h.X^j) for j = 1..top-h
+    comes from the diagonal of that product alone."""
+    h = (top + 1) // 2
+    powers = [X] if top else []  # powers[k - 1] = X^k
+    while len(powers) < h:
+        powers.append(fm_mul(powers[-1], X))
+    return [graded_trace(P) for P in powers] + [
+        _trace_of_product(powers[-1], powers[j - 1]) for j in range(1, top - h + 1)
+    ]
 
 
 def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:

@@ -475,63 +475,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("validate", help="check the factorization identity")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_validate)
+    def command(name, fn, help_, *positional, output=False):
+        s = sub.add_parser(name, help=help_)
+        for arg in positional:
+            s.add_argument(arg)
+        if output:
+            s.add_argument("-o", "--output", default="-")
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("chern", help="print the Chern character")
-    s.add_argument("file")
-    s.add_argument("--gamma", help="JSON document with gamma0/gamma1 matrices")
-    s.set_defaults(fn=cmd_chern)
-
-    s = sub.add_parser("tensor", help="tensor product of two factorizations")
-    s.add_argument("a")
-    s.add_argument("b")
-    s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_tensor)
-
-    s = sub.add_parser("cone", help="mapping cone of a strict morphism")
-    s.add_argument("file")
-    s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_cone)
-
-    s = sub.add_parser("shift", help="the shift [1]")
-    s.add_argument("file")
-    s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_shift)
-
-    s = sub.add_parser("fold", help="Z/2-folding of a bounded complex")
-    s.add_argument("file")
-    s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_fold)
-
-    s = sub.add_parser("pushforward", help="base change along a ring map")
-    s.add_argument("file")
-    s.add_argument("ringmap")
-    s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_pushforward)
-
-    s = sub.add_parser("embed", help="re-express over a larger variable list")
-    s.add_argument("file")
+    command("validate", cmd_validate, "check the factorization identity", "file")
+    command("chern", cmd_chern, "print the Chern character", "file").add_argument(
+        "--gamma", help="JSON document with gamma0/gamma1 matrices")
+    command("tensor", cmd_tensor, "tensor product of two factorizations", "a", "b",
+            output=True)
+    command("cone", cmd_cone, "mapping cone of a strict morphism", "file", output=True)
+    command("shift", cmd_shift, "the shift [1]", "file", output=True)
+    command("fold", cmd_fold, "Z/2-folding of a bounded complex", "file", output=True)
+    command("pushforward", cmd_pushforward, "base change along a ring map",
+            "file", "ringmap", output=True)
+    s = command("embed", cmd_embed, "re-express over a larger variable list", "file")
     s.add_argument("--vars", nargs="+", required=True)
     s.add_argument("-o", "--output", default="-")
-    s.set_defaults(fn=cmd_embed)
 
-    s = sub.add_parser("check", help="run verification suites")
+    s = command("check", cmd_check, "run verification suites")
     s.add_argument("files", nargs="+")
-    s.add_argument(
-        "--suite",
-        default="all",
-        choices=["all"] + sorted(_SUITES),
-    )
+    s.add_argument("--suite", default="all", choices=["all"] + sorted(_SUITES))
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(fn=cmd_check)
 
-    s = sub.add_parser("nf", help="normal form modulo the df-wedge image")
+    s = command("nf", cmd_nf, "normal form modulo the df-wedge image")
     s.add_argument("--potential", required=True)
     s.add_argument("--form", required=True)
     s.add_argument("--vars", nargs="+")
-    s.set_defaults(fn=cmd_nf)
 
     return p
 

@@ -237,63 +237,70 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
 # the wedge-product kernel behind wedge, fm_mul and the trace of a product
 # ---------------------------------------------------------------------------
 
-def _merge(i1: tuple, i2: tuple):
-    """``(negate, index)`` with dx_i1 ^ dx_i2 = (-1)^negate dx_index, or None
-    when the index tuples overlap and the product vanishes."""
-    if not set(i1).isdisjoint(i2):
-        return None
-    inv = sum(1 for x in i1 for y in i2 if x > y)
-    return inv % 2 == 1, tuple(sorted(i1 + i2))
+def _odd_shuffle(ma: int, ib: tuple) -> bool:
+    """Whether dx_A ^ dx_B = -dx_(A|B) for an index bitmask A and a disjoint
+    index tuple B: the parity of the pairs (a, b) in A x B with a > b."""
+    return sum(map(int.bit_count, map(ma.__rshift__, ib))) % 2 == 1
 
 
 def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
     """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j].
 
     S and T are grids (sequences of rows) of Forms of ``ctx`` with
-    len(S[i]) == len(T).  Index merges and monomial products are memoised
-    for this call only, and each output accumulates into one
-    ``{index: {monomial: coeff}}`` dict that becomes a Form at the end.
-    Integral coefficients are stored as ints, so their products never touch
-    ``Fraction``.
+    len(S[i]) == len(T).  Each operand entry is flattened once into
+    (index bitmask, index tuple, terms) triples: index sets that overlap
+    (``ma & mb``) are skipped before anything is built, and the merged
+    index is ``ma | mb``.  Masks, shuffle signs (keyed by
+    ``ma << nvars | mb``), output index tuples and monomial products are
+    memoised for this call only.  Each output accumulates into one
+    ``{mask: {monomial: coeff}}`` dict that becomes a Form at the end.
+    Integral coefficients are stored as ints, so their products never
+    touch ``Fraction``.
     """
-    nonzero = [
-        [(a.components, T[k]) for k, a in enumerate(row) if a.components]
-        for row in S
-    ]
-    merges = {}
-    monos = {}
+    nvars = ctx.nvars
+    masks, tuples, signs, monos = {}, {}, {}, {}
+
+    def flat(w: Form) -> list:
+        out = []
+        for idx, p in w.components.items():
+            if idx not in masks:
+                masks[idx] = sum(map((1).__lshift__, idx))
+            out.append((masks[idx], idx, tuple(p.terms.items())))
+        return out
+
+    tflat = [[flat(b) for b in row] for row in T]
+    nonzero = [[(flat(a), tb) for a, tb in zip(row, tflat) if a.components] for row in S]
     out = []
     for cell in cells:
         acc = {}
         for i, j in cell:
             for a, trow in nonzero[i]:
-                b = trow[j].components
-                if not b:
-                    continue
-                for ia, pa in a.items():
-                    for ib, pb in b.items():
-                        key = (ia, ib)
-                        if key in merges:
-                            merged = merges[key]
-                        else:
-                            merged = merges[key] = _merge(ia, ib)
-                        if merged is None:
+                b = trow[j]
+                for ma, ia, ta in a:
+                    for mb, ib, tb in b:
+                        if ma & mb:
                             continue
-                        neg, idx = merged
-                        dst = acc.get(idx)
+                        key = ma << nvars | mb
+                        neg = signs.get(key)
+                        if neg is None:
+                            neg = signs[key] = _odd_shuffle(ma, ib)
+                        m = ma | mb
+                        dst = acc.get(m)
                         if dst is None:
-                            dst = acc[idx] = {}
-                        for m1, c1 in pa.terms.items():
-                            for m2, c2 in pb.terms.items():
+                            dst = acc[m] = {}
+                            if m not in tuples:
+                                tuples[m] = tuple(sorted(ia + ib))
+                        for m1, c1 in ta:
+                            for m2, c2 in tb:
                                 mk = (m1, m2)
                                 if mk in monos:
-                                    m = monos[mk]
+                                    mono = monos[mk]
                                 else:
-                                    m = monos[mk] = tuple(map(add, m1, m2))
+                                    mono = monos[mk] = tuple(map(add, m1, m2))
                                 c = -c1 * c2 if neg else c1 * c2
-                                dst[m] = dst[m] + c if m in dst else c
+                                dst[mono] = dst[mono] + c if mono in dst else c
         out.append(Form._trusted(ctx, {
-            idx: Poly._trusted(ctx, terms) for idx, terms in acc.items()
+            tuples[m]: Poly._trusted(ctx, terms) for m, terms in acc.items()
         }))
     return out
 

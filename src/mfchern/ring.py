@@ -65,6 +65,8 @@ class RingCtx:
         for v in self.variables:
             if not _IDENT.fullmatch(v):
                 raise RingError(f"bad variable name {v!r}")
+            if _differential(v, self.variables):  # 'dv' would print as d(v)
+                raise RingError(f"variable {v!r} reads as the differential of {v[1:]!r}")
         if self.order not in _ORDERS:
             raise RingError(f"unknown monomial order {self.order!r}")
 
@@ -299,23 +301,27 @@ class Poly:
     def substitute(self, target_ctx: RingCtx, images: "tuple[Poly, ...]") -> "Poly":
         """Evaluate under x_i -> images[i]; images live in target_ctx.
 
-        Each power images[i]^e is bounded as a parsed power is: one that
-        could expand too far is a RingError, raised before it is expanded,
-        that names e and the image's term count."""
+        Each power images[i]^e, and each product of them within one term, is
+        bounded as in the parser: one that could expand too far is a
+        RingError, raised before it is expanded, that names the term."""
         if len(images) != self.ctx.nvars:
             raise RingError("one image per source variable required")
         out = Poly.zero(target_ctx)
         cache = {}
         for m, c in self.terms.items():
             term = Poly.const(target_ctx, c)
-            for i, e in enumerate(m):
-                if e:
-                    if (i, e) not in cache:
-                        cache[(i, e)] = _bounded_power(
-                            images[i], e, RingError,
-                            f"image of {self.ctx.variables[i]!r}",
-                        )
-                    term = term * cache[(i, e)]
+            try:
+                for i, e in enumerate(m):
+                    if e:
+                        if (i, e) not in cache:
+                            cache[(i, e)] = _bounded_power(
+                                images[i], e, RingError,
+                                f"image of {self.ctx.variables[i]!r}",
+                            )
+                        term = _bounded_product(term, cache[(i, e)], RingError)
+            except RingError as err:
+                name = print_poly(Poly._trusted(self.ctx, {m: c}))
+                raise RingError(f"substituting into the term {name}: {err}") from None
             out = out + term
         return out
 
@@ -371,20 +377,20 @@ def _check_coeff_bits(bits: int, what: str, error=ParseError):
         )
 
 
-def _bounded_product(p: Poly, q: Poly) -> Poly:
-    """p * q for the parser, refused before expanding when it could have
+def _bounded_product(p: Poly, q: Poly, error=ParseError) -> Poly:
+    """p * q, refused with ``error`` before expanding when it could have
     more than MAX_POWER_TERMS terms or MAX_COEFF_DIGITS-digit coefficients.
 
     A coefficient of p * q sums at most min(#p, #q) products of one
     coefficient of each factor."""
     tp, tq = len(p.terms), len(q.terms)
     if tp * tq > MAX_POWER_TERMS:
-        raise ParseError(
+        raise error(
             f"product of a {tp}-term and a {tq}-term "
             f"factor could expand to {tp * tq} terms (limit {MAX_POWER_TERMS})"
         )
     bits = _coeff_bits(p) + _coeff_bits(q) + (min(tp, tq) - 1).bit_length()
-    _check_coeff_bits(bits, f"product of a {tp}-term and a {tq}-term factor")
+    _check_coeff_bits(bits, f"product of a {tp}-term and a {tq}-term factor", error)
     return p * q
 
 

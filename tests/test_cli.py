@@ -436,6 +436,15 @@ class TestNormalForm:
         assert main(["nf", "--potential", "x*y", "--form", form] + given_vars) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given_vars", [[], ["--vars", "x", "dx"]],
+                             ids=["inferred", "given"])
+    def test_variable_named_like_a_differential_is_usage(self, capsys, given_vars):
+        # dx*d(x) would print as 'dx*dx' and read back as 0
+        assert main(["nf", "--potential", "x*dx", "--form", "dx"] + given_vars) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "variable 'dx' reads as the differential of 'x'" in err
+
     def test_inferred_variables(self, capsys):
         # 'dx' is a differential once x is known; 'dz' names a variable
         assert cli._infer_ctx(None, "x*y", "dx + x*dy").variables == ("x", "y")

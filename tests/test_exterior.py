@@ -259,6 +259,7 @@ class TestFormMatrix:
 # ---------------------------------------------------------------------------
 
 CTX4 = ring("x", "y", "z", "w")
+CTX12 = ring(*(f"x{i}" for i in range(12)))
 
 
 def _permutation_sign(perm):
@@ -300,14 +301,14 @@ def _ref_mul(S, T):
     ]
 
 
-def _rational_form(rng, ctx):
+def _rational_form(rng, ctx, max_degree=3):
     """Zero a quarter of the time; else up to three components of mixed
-    degree, coefficients with denominators up to 4."""
+    degree up to ``max_degree``, coefficients with denominators up to 4."""
     if rng.random() < 0.25:
         return Form.zero(ctx)
     comps = []
     for _ in range(rng.randint(1, 3)):
-        idx = tuple(sorted(rng.sample(range(ctx.nvars), rng.randint(0, 3))))
+        idx = tuple(sorted(rng.sample(range(ctx.nvars), rng.randint(0, max_degree))))
         terms = {
             tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -317,11 +318,10 @@ def _rational_form(rng, ctx):
     return Form(ctx, comps)
 
 
-def _rational_matrix(rng, rows, cols):
-    return FormMatrix(
-        CTX4, rows, cols,
-        [[_rational_form(rng, CTX4) for _ in range(cols)] for _ in range(rows)],
-    )
+def _rational_matrix(rng, rows, cols, ctx=CTX4, max_degree=3):
+    return FormMatrix(ctx, rows, cols, [
+        [_rational_form(rng, ctx, max_degree) for _ in range(cols)] for _ in range(rows)
+    ])
 
 
 def _coefficients(w):
@@ -382,3 +382,33 @@ class TestWedgeKernelOracle:
             got = _trace_of_product(S, T)
             assert got == want
             assert got == graded_trace(fm_mul(S, T))
+
+    def test_wedge_past_eight_variables(self):
+        # bit positions 8..11 and index tuples of up to six entries on each side
+        rng = random.Random(43)
+        for _ in range(200):
+            a, b = _rational_form(rng, CTX12, 6), _rational_form(rng, CTX12, 6)
+            assert wedge(a, b) == _ref_wedge(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 3, 3)])
+    def test_fm_mul_past_eight_variables(self, shape):
+        rng = random.Random(50 + sum(shape))
+        r, k, c = shape
+        for _ in range(3):
+            S = _rational_matrix(rng, r, k, CTX12, 6)
+            T = _rational_matrix(rng, k, c, CTX12, 6)
+            assert fm_mul(S, T) == FormMatrix(CTX12, r, c, _ref_mul(S, T))
+
+    @pytest.mark.parametrize("top", range(7))
+    def test_power_traces(self, top):
+        # the half-length chain against traces of a plain running product
+        from mfchern.chern import _power_traces
+
+        rng = random.Random(200 + top)
+        for size in (1, 2, 3, 4):
+            X = _rational_matrix(rng, size, size)
+            want, power = [], X
+            for _ in range(top):
+                want.append(_ref_sum(CTX4, [power.entries[i][i] for i in range(size)]))
+                power = FormMatrix(CTX4, size, size, _ref_mul(power, X))
+            assert _power_traces(X, top) == want

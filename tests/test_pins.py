@@ -1,6 +1,7 @@
 """Byte-identity of results: every ``gb_cold`` pool job, every ``check_cli``
-document and the random-connection ``chern_koszul`` jobs, run in-process,
-against the SHA-256 pins in ``perfbench/reference.json``.
+document, the random-connection ``chern_koszul`` jobs and a sample of its
+n = 8 towers, run in-process, against the SHA-256 pins in
+``perfbench/reference.json``.
 
 The reduced Groebner bases, normal forms and CLI reports are unique, so a
 change of algorithm or coefficient representation must leave every digest
@@ -30,14 +31,25 @@ def test_pool_outputs_match_pins(name, monkeypatch):
     assert mismatched == []
 
 
+def _chern_pins_mismatched(specs):
+    pins = json.loads((PERFBENCH / "reference.json").read_text())["chern_koszul"]
+    jobs = WORKLOADS["chern_koszul"].prepare(specs)
+    return [j.key for j in jobs if digest(j.render(j.fn())) != pins[j.key]]
+
+
 def test_printed_chern_characters_match_pins():
     """The printed ch of the eight random-connection ``chern_koszul`` jobs
-    (n = 4, a fraction of a second in all); the n = 8 tower entries take
-    seconds together and stay with the benchmark."""
-    pins = json.loads((PERFBENCH / "reference.json").read_text())["chern_koszul"]
-    workload = WORKLOADS["chern_koszul"]
-    specs = [spec for spec in workload.pool() if spec["r"] is not None]
+    (n = 4, a fraction of a second in all)."""
+    specs = [spec for spec in WORKLOADS["chern_koszul"].pool() if spec["r"] is not None]
     assert len(specs) == 8
-    jobs = workload.prepare(specs)
-    mismatched = [j.key for j in jobs if digest(j.render(j.fn())) != pins[j.key]]
-    assert mismatched == []
+    assert _chern_pins_mismatched(specs) == []
+
+
+def test_printed_tower_chern_characters_match_pins():
+    """The printed ch of every 10th n = 8 tower of the ``chern_koszul`` pool,
+    in pool order: the half-length power chains of ``chern_character``
+    byte for byte, without the seconds that all 160 towers take."""
+    towers = [spec for spec in WORKLOADS["chern_koszul"].pool() if spec["r"] is None]
+    specs = towers[::10]
+    assert len(specs) == 16 and {spec["m"] for spec in specs} == {4}
+    assert _chern_pins_mismatched(specs) == []

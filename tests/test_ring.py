@@ -184,6 +184,16 @@ class TestConstructorBoundary:
         assert type(half[(1, 0, 0)]) is Fraction and type(half[(0, 1, 0)]) is int
 
 
+class TestRingCtx:
+    @pytest.mark.parametrize("names", [("x", "dx"), ("dx", "y", "x")])
+    def test_refuses_a_variable_named_like_a_differential(self, names):
+        with pytest.raises(RingError, match="variable 'dx' reads as the differential of 'x'"):
+            RingCtx(names)
+
+    def test_keeps_d_names_without_their_variable(self):
+        assert RingCtx(("x", "dz", "d")).variables == ("x", "dz", "d")
+
+
 class TestCalculus:
     @given(polys(CTX), polys(CTX))
     @settings(max_examples=40)
@@ -260,6 +270,20 @@ class TestSubstitute:
         with pytest.raises(RingError, match=r"\^20000 of a 1-term image of 'x' could "
                                             r"have coefficients of more than 4300 digits"):
             parse_poly("x^20000", tgt).substitute(tgt, (parse_poly("2*x", tgt),) * 2)
+
+    def test_product_of_powers_in_one_term_is_refused_before_expanding(self):
+        tgt = ring("x", "y", "z")
+        images = tuple(parse_poly(t, tgt) for t in ("x+y+1", "y+z+1", "z+x+1"))
+        start = time.perf_counter()
+        with pytest.raises(RingError, match=r"term x\^20\*y\^20\*z\^20: product of a "
+                                            r"231-term and a 231-term factor") as err:
+            parse_poly("x^20*y^20*z^20", tgt).substitute(tgt, images)
+        assert time.perf_counter() - start < 1
+        assert not isinstance(err.value, ParseError)
+        # the same term along images whose products stay small goes through
+        small = tuple(parse_poly(t, tgt) for t in ("x+1", "y", "z"))
+        assert parse_poly("x^20*y^20*z^20", tgt).substitute(tgt, small) == parse_poly(
+            "(x+1)^20*y^20*z^20", tgt)
 
     def test_substitution_shares_the_power_bound(self, monkeypatch):
         # (x+y)^e has e+1 terms: the parser's bound, exactly
