@@ -128,11 +128,18 @@ def atiyah(M: MatFac, conn: Connection) -> AtiyahClass:
     A, B = _as_forms(M.A), _as_forms(M.B)
     at01 = fm_exterior_derivative(A) + fm_mul(conn.gamma0, A) - fm_mul(A, conn.gamma1)
     at10 = fm_exterior_derivative(B) + fm_mul(conn.gamma1, B) - fm_mul(B, conn.gamma0)
-    full = FormMatrix.block2(
-        FormMatrix.zeros(ctx, M.r0, M.r0), at01,
-        at10, FormMatrix.zeros(ctx, M.r1, M.r1),
-    )
+    r = (M.r0, M.r1)
+    full = FormMatrix.blocks(ctx, r, r, {(0, 1): at01, (1, 0): at10})
     return AtiyahClass(M, conn, full)
+
+
+def atiyah_powers(at: AtiyahClass, top: int):
+    """At^0, At^1, ..., At^top, each one wedge-matrix product past the last."""
+    power = FormMatrix.identity(at.base.ctx, at.matrix.rows)
+    yield power
+    for _ in range(top):
+        power = fm_mul(power, at.matrix)
+        yield power
 
 
 def atiyah_power(at: AtiyahClass, i: int) -> FormMatrix:
@@ -140,10 +147,8 @@ def atiyah_power(at: AtiyahClass, i: int) -> FormMatrix:
     n = at.base.ctx.nvars
     if not 0 <= i <= n:
         raise RingError(f"power {i} out of range 0..{n}")
-    out = FormMatrix.identity(at.base.ctx, at.matrix.rows)
-    for _ in range(i):
-        out = fm_mul(out, at.matrix)
-    return out
+    *_, power = atiyah_powers(at, i)
+    return power
 
 
 def supertrace(T: FormMatrix, r0: int, r1: int) -> Form:
@@ -168,11 +173,9 @@ def phi_tilde_n(M: MatFac, conn: Connection = None, n: int = None) -> FormMatrix
     """
     conn = conn or connection_default(M)
     n = M.ctx.nvars if n is None else n
-    at = atiyah(M, conn)
-    out = FormMatrix.identity(M.ctx, at.matrix.rows)
-    power = FormMatrix.identity(M.ctx, at.matrix.rows)
-    for i in range(1, n + 1):
-        power = fm_mul(power, at.matrix)
+    powers = atiyah_powers(atiyah(M, conn), n)
+    out = next(powers)
+    for i, power in enumerate(powers, start=1):
         out = out + power.scale(Fraction(1, math.factorial(i)))
     return out
 
@@ -347,16 +350,12 @@ def classical_chern(e: PolyMatrix, ctx: RingCtx = None) -> Form:
 def cone_connection(theta: StrictMorphism, connP: Connection, connQ: Connection,
                     C: MatFac) -> Connection:
     """Block-diagonal connection on cone(theta): (Q1 + P0, Q0 + P1) pieces."""
-    ctx = C.ctx
-    z = FormMatrix.zeros
-    g1 = FormMatrix.block2(
-        connQ.gamma1, z(ctx, connQ.gamma1.rows, connP.gamma0.cols),
-        z(ctx, connP.gamma0.rows, connQ.gamma1.cols), connP.gamma0,
-    )
-    g0 = FormMatrix.block2(
-        connQ.gamma0, z(ctx, connQ.gamma0.rows, connP.gamma1.cols),
-        z(ctx, connP.gamma1.rows, connQ.gamma0.cols), connP.gamma1,
-    )
+    def diag(a, b):
+        r = (a.rows, b.rows)
+        return FormMatrix.blocks(C.ctx, r, r, {(0, 0): a, (1, 1): b})
+
+    g1 = diag(connQ.gamma1, connP.gamma0)
+    g0 = diag(connQ.gamma0, connP.gamma1)
     return Connection(C, g0, g1)
 
 

@@ -29,6 +29,7 @@ from .chern import (
     Connection,
     InternalConsistencyError,
     atiyah,
+    atiyah_powers,
     chern_character,
     cone_additivity_check,
     connection_default,
@@ -42,7 +43,7 @@ from .chern import (
     tensor_multiplicativity_check,
     RingMap,
 )
-from .exterior import Form, FormMatrix, fm_mul, parse_form, print_form, wedge
+from .exterior import FormMatrix, parse_form, print_form, wedge
 from .ideals import df_form, form_normal_form
 from .mf import (
     ChainComplex,
@@ -353,9 +354,8 @@ def _suite_strictness(M, rng):
 def _suite_odd(M, rng):
     at = atiyah(M, connection_default(M))
     n = M.ctx.nvars
-    power = FormMatrix.identity(M.ctx, at.matrix.rows)
-    for i in range(1, n + n % 2):  # up to the largest odd i <= n
-        power = fm_mul(power, at.matrix)
+    top = n - 1 + n % 2  # the largest odd i <= n
+    for i, power in enumerate(atiyah_powers(at, top)):
         if i % 2 and not supertrace(power, M.r0, M.r1).is_zero():
             return False, f"str(At^{i}) != 0"
     return True, "ok"
@@ -364,12 +364,8 @@ def _suite_odd(M, rng):
 def _suite_cycle(M, rng):
     at = atiyah(M, connection_default(M))
     df = df_form(M.f)
-    power = FormMatrix.identity(M.ctx, at.matrix.rows)
-    for i in range(0, M.ctx.nvars + 1):
-        if i:
-            power = fm_mul(power, at.matrix)
-        s = supertrace(power, M.r0, M.r1)
-        if not wedge(df, s).is_zero():
+    for i, power in enumerate(atiyah_powers(at, M.ctx.nvars)):
+        if not wedge(df, supertrace(power, M.r0, M.r1)).is_zero():
             return False, f"df ^ str(At^{i}) != 0"
     return True, "ok"
 

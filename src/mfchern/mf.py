@@ -115,14 +115,8 @@ def direct_sum(M: MatFac, N: MatFac) -> MatFac:
     if M.f != N.f:
         raise ValidationError("direct sum of factorizations of different potentials")
     ctx = M.ctx
-    A = PolyMatrix.block2(
-        M.A, PolyMatrix.zeros(ctx, M.r0, N.r1),
-        PolyMatrix.zeros(ctx, N.r0, M.r1), N.A,
-    )
-    B = PolyMatrix.block2(
-        M.B, PolyMatrix.zeros(ctx, M.r1, N.r0),
-        PolyMatrix.zeros(ctx, N.r1, M.r0), N.B,
-    )
+    A = PolyMatrix.blocks(ctx, (M.r0, N.r0), (M.r1, N.r1), {(0, 0): M.A, (1, 1): N.A})
+    B = PolyMatrix.blocks(ctx, (M.r1, N.r1), (M.r0, N.r0), {(0, 0): M.B, (1, 1): N.B})
     return MatFac(ctx, M.f, A, B)
 
 
@@ -211,37 +205,20 @@ def cone(alpha: StrictMorphism) -> ConeResult:
     """Mapping cone (N_1 + M_0 <=> N_0 + M_1) with its canonical strict maps."""
     M, N = alpha.source, alpha.target
     ctx = M.ctx
-    A = PolyMatrix.block2(
-        N.A, alpha.alpha0,
-        PolyMatrix.zeros(ctx, M.r1, N.r1), -M.B,
-    )
-    B = PolyMatrix.block2(
-        N.B, alpha.alpha1,
-        PolyMatrix.zeros(ctx, M.r0, N.r0), -M.A,
-    )
+    blocks, I = PolyMatrix.blocks, PolyMatrix.identity
+    r0, r1 = (N.r0, M.r1), (N.r1, M.r0)  # the cone's pieces, blockwise
+    A = blocks(ctx, r0, r1, {(0, 0): N.A, (0, 1): alpha.alpha0, (1, 1): -M.B})
+    B = blocks(ctx, r1, r0, {(0, 0): N.B, (0, 1): alpha.alpha1, (1, 1): -M.A})
     C = MatFac(ctx, M.f, A, B)
     incl = StrictMorphism(
         N, C,
-        PolyMatrix.block2(
-            PolyMatrix.identity(ctx, N.r0), PolyMatrix.zeros(ctx, N.r0, 0),
-            PolyMatrix.zeros(ctx, M.r1, N.r0), PolyMatrix.zeros(ctx, M.r1, 0),
-        ),
-        PolyMatrix.block2(
-            PolyMatrix.identity(ctx, N.r1), PolyMatrix.zeros(ctx, N.r1, 0),
-            PolyMatrix.zeros(ctx, M.r0, N.r1), PolyMatrix.zeros(ctx, M.r0, 0),
-        ),
+        blocks(ctx, r0, (N.r0,), {(0, 0): I(ctx, N.r0)}),
+        blocks(ctx, r1, (N.r1,), {(0, 0): I(ctx, N.r1)}),
     )
-    Mshift = shift(M)
     proj = StrictMorphism(
-        C, Mshift,
-        PolyMatrix.block2(
-            PolyMatrix.zeros(ctx, M.r1, N.r0), PolyMatrix.identity(ctx, M.r1),
-            PolyMatrix.zeros(ctx, 0, N.r0), PolyMatrix.zeros(ctx, 0, M.r1),
-        ),
-        PolyMatrix.block2(
-            PolyMatrix.zeros(ctx, M.r0, N.r1), PolyMatrix.identity(ctx, M.r0),
-            PolyMatrix.zeros(ctx, 0, N.r1), PolyMatrix.zeros(ctx, 0, M.r0),
-        ),
+        C, shift(M),
+        blocks(ctx, (M.r1,), r0, {(0, 1): I(ctx, M.r1)}),
+        blocks(ctx, (M.r0,), r1, {(0, 1): I(ctx, M.r0)}),
     )
     return ConeResult(C, incl, proj)
 
@@ -250,13 +227,11 @@ def contraction_of_identity_cone(M: MatFac) -> Homotopy:
     """Explicit homotopy witnessing id = 0 on cone(id_M)."""
     ctx = M.ctx
     # cone(id): C1 = M1+M0, C0 = M0+M1; h0 = h1 = [[0,0],[I,0]] blockwise
-    h0 = PolyMatrix.block2(
-        PolyMatrix.zeros(ctx, M.r1, M.r0), PolyMatrix.zeros(ctx, M.r1, M.r1),
-        PolyMatrix.identity(ctx, M.r0), PolyMatrix.zeros(ctx, M.r0, M.r1),
+    h0 = PolyMatrix.blocks(
+        ctx, (M.r1, M.r0), (M.r0, M.r1), {(1, 0): PolyMatrix.identity(ctx, M.r0)}
     )
-    h1 = PolyMatrix.block2(
-        PolyMatrix.zeros(ctx, M.r0, M.r1), PolyMatrix.zeros(ctx, M.r0, M.r0),
-        PolyMatrix.identity(ctx, M.r1), PolyMatrix.zeros(ctx, M.r1, M.r0),
+    h1 = PolyMatrix.blocks(
+        ctx, (M.r0, M.r1), (M.r1, M.r0), {(1, 0): PolyMatrix.identity(ctx, M.r1)}
     )
     return Homotopy(h0, h1)
 
@@ -272,14 +247,16 @@ def tensor(M: MatFac, N: MatFac) -> MatFac:
         raise RingError("tensor factors must share a ring context")
     ctx = M.ctx
     I = PolyMatrix.identity
-    A = PolyMatrix.block2(
-        M.A.kron(I(ctx, N.r0)), I(ctx, M.r0).kron(N.A),
-        -(I(ctx, M.r1).kron(N.B)), M.B.kron(I(ctx, N.r1)),
-    )
-    B = PolyMatrix.block2(
-        M.B.kron(I(ctx, N.r0)), -(I(ctx, M.r1).kron(N.A)),
-        I(ctx, M.r0).kron(N.B), M.A.kron(I(ctx, N.r1)),
-    )
+    r0 = (M.r0 * N.r0, M.r1 * N.r1)
+    r1 = (M.r1 * N.r0, M.r0 * N.r1)
+    A = PolyMatrix.blocks(ctx, r0, r1, {
+        (0, 0): M.A.kron(I(ctx, N.r0)), (0, 1): I(ctx, M.r0).kron(N.A),
+        (1, 0): -(I(ctx, M.r1).kron(N.B)), (1, 1): M.B.kron(I(ctx, N.r1)),
+    })
+    B = PolyMatrix.blocks(ctx, r1, r0, {
+        (0, 0): M.B.kron(I(ctx, N.r0)), (0, 1): -(I(ctx, M.r1).kron(N.A)),
+        (1, 0): I(ctx, M.r0).kron(N.B), (1, 1): M.A.kron(I(ctx, N.r1)),
+    })
     return MatFac(ctx, M.f + N.f, A, B)
 
 
@@ -317,37 +294,15 @@ class ChainComplex:
 def fold_complex(C: ChainComplex) -> MatFac:
     """Z/2-folding: even degrees (ascending) in degree 0, odd in degree 1."""
     ctx = C.ctx
-    even = [j for j in range(len(C.ranks)) if C.degree_of(j) % 2 == 0]
-    odd = [j for j in range(len(C.ranks)) if C.degree_of(j) % 2 == 1]
-    r0 = sum(C.ranks[j] for j in even)
-    r1 = sum(C.ranks[j] for j in odd)
-    z = Poly.zero(ctx)
-    A = [[z] * r1 for _ in range(r0)]  # odd -> even blocks
-    B = [[z] * r0 for _ in range(r1)]  # even -> odd blocks
-    even_off = {}
-    off = 0
-    for j in even:
-        even_off[j] = off
-        off += C.ranks[j]
-    odd_off = {}
-    off = 0
-    for j in odd:
-        odd_off[j] = off
-        off += C.ranks[j]
+    e = C.min_degree % 2  # the index of the lowest even degree
+    even, odd = C.ranks[e::2], C.ranks[1 - e::2]
+    # the j-th term is block j // 2 among the terms of its parity
+    A, B = {}, {}  # the odd -> even and the even -> odd blocks
     for j, d in enumerate(C.differentials):
-        src, tgt = j, j + 1
-        if C.degree_of(src) % 2 == 1:
-            ro, co = even_off[tgt], odd_off[src]
-            grid = A
-        else:
-            ro, co = odd_off[tgt], even_off[src]
-            grid = B
-        for a in range(d.rows):
-            for b in range(d.cols):
-                grid[ro + a][co + b] = d.entries[a][b]
+        (A if C.degree_of(j) % 2 else B)[(j + 1) // 2, j // 2] = d
     return MatFac(
         ctx, Poly.zero(ctx),
-        PolyMatrix(ctx, r0, r1, A), PolyMatrix(ctx, r1, r0, B),
+        PolyMatrix.blocks(ctx, even, odd, A), PolyMatrix.blocks(ctx, odd, even, B),
     )
 
 
@@ -366,57 +321,27 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     if X.ctx != Y.ctx:
         raise RingError("mismatched ring contexts")
     ctx = X.ctx
-    lo = X.min_degree + Y.min_degree
-    hi = (X.min_degree + len(X.ranks) - 1) + (Y.min_degree + len(Y.ranks) - 1)
-    pairs_by_k = {}
-    for k in range(lo, hi + 1):
-        pairs = []
-        for ji in reversed(range(len(X.ranks))):
-            i = X.degree_of(ji)
-            jj = (k - i) - Y.min_degree
-            if 0 <= jj < len(Y.ranks):
-                pairs.append((ji, jj))
-        pairs_by_k[k] = pairs
-    ranks = tuple(
-        sum(X.ranks[ji] * Y.ranks[jj] for ji, jj in pairs_by_k[k])
-        for k in range(lo, hi + 1)
-    )
+    I = PolyMatrix.identity
+    nx, ny = len(X.ranks), len(Y.ranks)
+    # the summands of the t-th total degree, as index pairs (a, b) of X^a (x) Y^b
+    summands = [
+        [(a, t - a) for a in reversed(range(nx)) if 0 <= t - a < ny]
+        for t in range(nx + ny - 1)
+    ]
+    sizes = [[X.ranks[a] * Y.ranks[b] for a, b in s] for s in summands]
     diffs = []
-    for k in range(lo, hi):
-        src_pairs = pairs_by_k[k]
-        tgt_pairs = pairs_by_k[k + 1]
-        tgt_off = {}
-        off = 0
-        for p in tgt_pairs:
-            tgt_off[p] = off
-            off += X.ranks[p[0]] * Y.ranks[p[1]]
-        rows = ranks[k + 1 - lo]
-        cols = ranks[k - lo]
-        z = Poly.zero(ctx)
-        grid = [[z] * cols for _ in range(rows)]
-        coff = 0
-        for ji, jj in src_pairs:
-            blk_cols = X.ranks[ji] * Y.ranks[jj]
-            # dX (x) 1 component
-            if ji + 1 < len(X.ranks) and (ji + 1, jj) in tgt_off:
-                blk = X.differentials[ji].kron(PolyMatrix.identity(ctx, Y.ranks[jj]))
-                _paste(grid, blk, tgt_off[(ji + 1, jj)], coff)
-            # (-1)^i 1 (x) dY component
-            if jj + 1 < len(Y.ranks) and (ji, jj + 1) in tgt_off:
-                sgn = -1 if X.degree_of(ji) % 2 else 1
-                blk = PolyMatrix.identity(ctx, X.ranks[ji]).kron(Y.differentials[jj])
-                if sgn < 0:
-                    blk = -blk
-                _paste(grid, blk, tgt_off[(ji, jj + 1)], coff)
-            coff += blk_cols
-        diffs.append(PolyMatrix(ctx, rows, cols, grid))
-    return ChainComplex(ctx, lo, ranks, tuple(diffs))
-
-
-def _paste(grid, blk: PolyMatrix, row_off: int, col_off: int):
-    for a in range(blk.rows):
-        for b in range(blk.cols):
-            grid[row_off + a][col_off + b] = blk.entries[a][b]
+    for t in range(len(summands) - 1):
+        target = {p: q for q, p in enumerate(summands[t + 1])}
+        placed = {}
+        for q, (a, b) in enumerate(summands[t]):
+            if a + 1 < nx:  # dX (x) 1
+                placed[target[a + 1, b], q] = X.differentials[a].kron(I(ctx, Y.ranks[b]))
+            if b + 1 < ny:  # (-1)^|x| 1 (x) dY
+                blk = I(ctx, X.ranks[a]).kron(Y.differentials[b])
+                placed[target[a, b + 1], q] = -blk if X.degree_of(a) % 2 else blk
+        diffs.append(PolyMatrix.blocks(ctx, sizes[t + 1], sizes[t], placed))
+    ranks = tuple(sum(s) for s in sizes)
+    return ChainComplex(ctx, X.min_degree + Y.min_degree, ranks, tuple(diffs))
 
 
 def embed(M: MatFac, new_ctx: RingCtx) -> MatFac:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, log2
 from operator import add, le, sub
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
 # stdlib Fraction maintains exactly these invariants.  A Poly stores the
@@ -29,9 +30,9 @@ _ORDERS = ("degrevlex", "lex", "grlex")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # The parser refuses a power p^e whose expansion could exceed this many
-# terms, C(t+e-1, e) for a base of t terms, and a product whose factors'
-# term counts multiply past it.  A document can otherwise ask for an
-# expansion that never finishes, e.g. "(x+y+1)^400" (80601 terms).
+# terms, C(t+e-1, e) for a base of t terms, and a product that could too.
+# A document can otherwise ask for an expansion that never finishes, e.g.
+# "(x+y+1)^400" (80601 terms).
 MAX_POWER_TERMS = 1000
 
 # The longest integer literal the tokenizer reads, which is the interpreter's
@@ -381,14 +382,21 @@ def _bounded_product(p: Poly, q: Poly, error=ParseError) -> Poly:
     """p * q, refused with ``error`` before expanding when it could have
     more than MAX_POWER_TERMS terms or MAX_COEFF_DIGITS-digit coefficients.
 
+    p * q has at most #p * #q terms, and at most one per monomial whose total
+    degree lies between the sums of the factors' least and greatest degrees.
     A coefficient of p * q sums at most min(#p, #q) products of one
     coefficient of each factor."""
     tp, tq = len(p.terms), len(q.terms)
     if tp * tq > MAX_POWER_TERMS:
-        raise error(
-            f"product of a {tp}-term and a {tq}-term "
-            f"factor could expand to {tp * tq} terms (limit {MAX_POWER_TERMS})"
-        )
+        n = p.ctx.nvars
+        lo = min(map(sum, p.terms)) + min(map(sum, q.terms))
+        hi = p.total_degree() + q.total_degree()
+        size = min(tp * tq, comb(hi + n, n) - comb(lo - 1 + n, n))
+        if size > MAX_POWER_TERMS:
+            raise error(
+                f"product of a {tp}-term and a {tq}-term "
+                f"factor could expand to {size} terms (limit {MAX_POWER_TERMS})"
+            )
     bits = _coeff_bits(p) + _coeff_bits(q) + (min(tp, tq) - 1).bit_length()
     _check_coeff_bits(bits, f"product of a {tp}-term and a {tq}-term factor", error)
     return p * q
@@ -654,15 +662,24 @@ class Matrix:
         return cls.diagonal(ctx, size, cls._kind.one(ctx))
 
     @classmethod
-    def block2(cls, tl, tr, bl, br):
-        """Assemble [[tl, tr], [bl, br]]; shapes must be consistent."""
-        if tl.rows != tr.rows or bl.rows != br.rows:
-            raise RingError("row mismatch in block assembly")
-        if tl.cols != bl.cols or tr.cols != br.cols:
-            raise RingError("column mismatch in block assembly")
-        rows = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
-        rows += [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
-        return cls(tl.ctx, tl.rows + bl.rows, tl.cols + tr.cols, rows)
+    def blocks(cls, ctx, row_sizes, col_sizes, placed):
+        """The block matrix with block rows of ``row_sizes`` and block columns
+        of ``col_sizes``: ``placed`` maps a position (i, j) to its block, and
+        every block that is not placed is zero."""
+        row_off, col_off = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
+        z = cls._kind.zero(ctx)
+        grid = [[z] * col_off[-1] for _ in range(row_off[-1])]
+        for (i, j), blk in placed.items():
+            if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)):
+                raise RingError(f"block ({i}, {j}) lies outside the block grid")
+            if (blk.rows, blk.cols) != (row_sizes[i], col_sizes[j]):
+                raise RingError(
+                    f"block ({i}, {j}) is {blk.rows}x{blk.cols}, "
+                    f"not {row_sizes[i]}x{col_sizes[j]}"
+                )
+            for r, row in enumerate(blk.entries, start=row_off[i]):
+                grid[r][col_off[j]:col_off[j + 1]] = row
+        return cls(ctx, row_off[-1], col_off[-1], grid)
 
     def map_entries(self, fn, ctx: RingCtx = None):
         """fn applied to every entry; the result lives over ctx if given."""

@@ -15,6 +15,7 @@ from mfchern import (
     RingMap,
     atiyah,
     atiyah_power,
+    atiyah_powers,
     chern_character,
     classical_chern,
     cone,
@@ -71,6 +72,15 @@ class TestAtiyah:
         at = atiyah(koszul_xy, connection_default(koszul_xy))
         with pytest.raises(Exception):
             atiyah_power(at, 3)
+
+    def test_powers_are_one_chain(self, threevar_example, monkeypatch):
+        M = threevar_example
+        at = atiyah(M, random_connection(M, random.Random(2)))
+        dense = [atiyah_power(at, i) for i in range(4)]
+        calls = []
+        monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        assert list(atiyah_powers(at, 3)) == dense
+        assert len(calls) == 3
 
     def test_entries_are_one_forms(self, threevar_example):
         rng = random.Random(1)

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfchern import cli
+from mfchern import chern, cli
 from mfchern.chern import InternalConsistencyError
 from mfchern.cli import main
+from mfchern.exterior import fm_mul
+
+from conftest import mf_1x1, ring
 
 KOSZUL = {"vars": ["x", "y"], "f": "x*y", "A": [["x"]], "B": [["y"]]}
 
@@ -403,6 +406,27 @@ class TestCheck:
              "A": [["u"]], "B": [["v"]]},
         )
         assert main(["check", a, b, "--suite", "multiplicativity"]) == 0
+
+    def test_functoriality_of_a_product_of_high_powers(self, tmp_path):
+        # each substituted term has at most C(15, 3) = 455 terms, though its
+        # factors' term counts multiply past the product bound
+        doc = {"vars": ["x", "y", "z", "w"], "f": "x^3*y^3*z^3*w^3",
+               "A": [["x^3*y^3"]], "B": [["z^3*w^3"]]}
+        path = write(tmp_path, "m.json", doc)
+        assert main(["check", path, "--suite", "functoriality"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_suites_take_one_product_a_power(self, n, monkeypatch):
+        # atiyah takes four products; then odd climbs to the largest odd
+        # power <= n, and cycle to the n-th
+        vs = ("x", "y", "z", "w")[:n]
+        M = mf_1x1(ring(*vs), "x", "*".join(vs))
+        calls = []
+        monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        for suite, products in (("odd", n - 1 + n % 2), ("cycle", n)):
+            calls.clear()
+            assert cli._SUITES[suite](M, None) == (True, "ok")
+            assert len(calls) == 4 + products
 
     def test_deterministic_reports(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", KOSZUL)

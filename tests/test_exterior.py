@@ -145,8 +145,11 @@ class TestFormSyntax:
 
     def test_refuses_a_coefficient_product_too_large_to_expand(self):
         # a form's coefficient factors are multiplied by the polynomial
-        # parser, under its bound
-        with pytest.raises(ParseError, match="84-term and a 84-term factor"):
+        # parser, under its bound: the product of the first two factors has
+        # one term per monomial of degree <= 12, and times the third it could
+        # have one per monomial of degree <= 18, C(21, 3) = 1330 of them
+        assert len(parse_poly("(x+y+z+1)^6*(x+y+z+1)^6", CTX).terms) == 455
+        with pytest.raises(ParseError, match="455-term and a 84-term factor"):
             parse_form("(x+y+z+1)^6*(x+y+z+1)^6*(x+y+z+1)^6*dx", CTX)
         assert parse_form("(x+1)*(y-2)*dx^dy", CTX) == parse_form(
             "(x*y - 2*x + y - 2)*dx^dy", CTX

@@ -77,6 +77,15 @@ class TestParsing:
         # the running product is what is bounded: x*x*... stays one term
         parse_poly("*".join(["(x+y)"] + ["x"] * 20), CTX)
 
+    def test_product_bound_counts_the_monomials_of_its_degrees(self, monkeypatch):
+        # 6 * 3 terms, but only the C(5, 2) = 10 monomials of degree 3
+        monkeypatch.setattr(ring_module, "MAX_POWER_TERMS", 10)
+        assert len(parse_poly("(x+y+z)^2*(x+y+z)", CTX).terms) == 10
+        # degrees 2..3 hold C(6, 3) - C(4, 3) = 16 monomials, fewer than 6 * 4
+        with pytest.raises(ParseError, match="6-term and a 4-term factor could "
+                                             "expand to 16 terms"):
+            parse_poly("(x+y+z)^2*(x+y+z+1)", CTX)
+
     def test_integer_literal_past_the_digit_limit(self):
         with pytest.raises(ParseError, match="position 4 has 5000 digits"):
             parse_poly("x + " + "1" * 5000, CTX)
@@ -314,25 +323,39 @@ KINDS = [(PolyMatrix, poly_entry, "x"), (FormMatrix, form_entry, "x*dy")]
 
 @pytest.mark.parametrize("cls,entry,text", KINDS)
 class TestMatrix:
-    def test_block2_rejects_row_mismatch(self, cls, entry, text):
-        tl = cls.zeros(CTX, 1, 1)
-        tr = cls(CTX, 2, 1, [[entry(text)], [entry(text)]])
-        with pytest.raises(RingError, match="row mismatch"):
-            cls.block2(tl, tr, cls.zeros(CTX, 1, 1), cls.zeros(CTX, 1, 1))
+    def test_blocks_refuses_a_misshapen_block_by_name(self, cls, entry, text):
+        tall = cls(CTX, 2, 1, [[entry(text)], [entry(text)]])
+        with pytest.raises(RingError, match=r"block \(0, 1\) is 2x1, not 1x1"):
+            cls.blocks(CTX, (1, 2), (1, 1), {(0, 1): tall})
+        with pytest.raises(RingError, match=r"block \(1, 0\) is 1x1, not 1x2"):
+            cls.blocks(CTX, (1, 1), (2,), {(1, 0): cls.zeros(CTX, 1, 1)})
+        with pytest.raises(RingError, match=r"block \(2, 0\) lies outside"):
+            cls.blocks(CTX, (1, 1), (1,), {(2, 0): cls.zeros(CTX, 1, 1)})
 
-    def test_block2_rejects_column_mismatch(self, cls, entry, text):
-        z = cls.zeros(CTX, 1, 1)
-        with pytest.raises(RingError, match="column mismatch"):
-            cls.block2(z, z, cls.zeros(CTX, 1, 2), z)
-
-    def test_block2_places_blocks(self, cls, entry, text):
+    def test_blocks_places_blocks_and_zero_fills_the_rest(self, cls, entry, text):
         a = cls(CTX, 1, 2, [[entry(text), entry("1")]])
-        b = cls.diagonal(CTX, 2, entry(text))
-        m = cls.block2(a, cls.zeros(CTX, 1, 1), b, cls.zeros(CTX, 2, 1))
+        b = cls.diagonal(CTX, 2, entry("y"))
+        m = cls.blocks(CTX, (1, 2), (2, 1, 2), {(0, 0): a, (1, 2): b})
         z = cls._kind.zero(CTX)
+        assert (m.rows, m.cols) == (3, 5)
         assert m.entries == (
-            (entry(text), entry("1"), z), (entry(text), z, z), (z, entry(text), z),
+            (entry(text), entry("1"), z, z, z),
+            (z, z, z, entry("y"), z),
+            (z, z, z, z, entry("y")),
         )
+        assert cls.blocks(CTX, (2, 1), (1, 3), {}) == cls.zeros(CTX, 3, 4)
+
+    def test_blocks_of_size_zero(self, cls, entry, text):
+        # the inclusion into a cone whose second block row or column is empty
+        one = cls.identity(CTX, 1)
+        assert cls.blocks(CTX, (1, 0), (1,), {(0, 0): one}) == one
+        assert cls.blocks(CTX, (0,), (0, 1), {(0, 0): cls.zeros(CTX, 0, 0)}) == (
+            cls.zeros(CTX, 0, 1))
+        col = cls(CTX, 2, 1, [[entry(text)], [entry("1")]])
+        m = cls.blocks(CTX, (0, 2), (0, 1), {(1, 1): col})
+        assert m.entries == ((entry(text),), (entry("1"),))
+        with pytest.raises(RingError, match=r"block \(0, 0\) is 1x1, not 0x1"):
+            cls.blocks(CTX, (0, 1), (1,), {(0, 0): one})
 
     def test_rejects_entry_of_the_other_kind(self, cls, entry, text):
         other = form_entry("dx") if cls is PolyMatrix else poly_entry("x")
