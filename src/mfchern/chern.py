@@ -10,7 +10,6 @@ the complex (Omega^*, df^).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (
@@ -25,7 +24,7 @@ from .exterior import (
 )
 from .ideals import df_form, form_normal_form
 from .mf import MatFac, PolyMatrix, StrictMorphism, cone, tensor
-from .ring import Poly, RingCtx, RingError
+from .ring import Frozen, Poly, RingError
 
 
 class InternalConsistencyError(AssertionError):
@@ -36,13 +35,11 @@ def _as_forms(P: PolyMatrix) -> FormMatrix:
     return FormMatrix.from_poly_rows(P.ctx, P.rows, P.cols, P.entries)
 
 
-@dataclass(frozen=True)
-class Connection:
-    """d + Gamma on each graded piece of the underlying free module."""
+class Connection(Frozen):
+    """d + Gamma on each graded piece of the underlying free module; gamma0
+    (r0 x r0) and gamma1 (r1 x r1) have 1-form entries."""
 
-    base: MatFac
-    gamma0: FormMatrix  # r0 x r0, 1-form entries
-    gamma1: FormMatrix  # r1 x r1, 1-form entries
+    __slots__ = _fields = ("base", "gamma0", "gamma1")
 
     def __post_init__(self):
         M = self.base
@@ -66,7 +63,7 @@ def connection_default(M: MatFac) -> Connection:
     )
 
 
-def random_connection(M: MatFac, rng, max_coeff: int = 3, max_deg: int = 1) -> Connection:
+def random_connection(M: MatFac, rng) -> Connection:
     """Random 1-form perturbation of the default connection (test helper)."""
     ctx = M.ctx
 
@@ -75,11 +72,11 @@ def random_connection(M: MatFac, rng, max_coeff: int = 3, max_deg: int = 1) -> C
         for i in range(ctx.nvars):
             if rng.random() < 0.5:
                 continue
-            c = rng.randint(-max_coeff, max_coeff)
+            c = rng.randint(-3, 3)
             if c == 0:
                 continue
             mono = [0] * ctx.nvars
-            for _ in range(rng.randint(0, max_deg)):
+            for _ in range(rng.randint(0, 1)):  # a monomial of degree <= 1
                 mono[rng.randrange(ctx.nvars)] += 1
             p = Poly(ctx, {tuple(mono): c})
             acc = acc + Form(ctx, {(i,): p})
@@ -94,13 +91,11 @@ def random_connection(M: MatFac, rng, max_coeff: int = 3, max_deg: int = 1) -> C
     return Connection(M, rand_matrix(M.r0), rand_matrix(M.r1))
 
 
-@dataclass(frozen=True)
-class AtiyahClass:
-    """Odd 1-form-valued endomorphism; block off-diagonal in (E0, E1) order."""
+class AtiyahClass(Frozen):
+    """Odd 1-form-valued endomorphism; block off-diagonal in (E0, E1) order:
+    matrix is (r0+r1) square, its rows and columns indexed E0 first, then E1."""
 
-    base: MatFac
-    conn: Connection
-    matrix: FormMatrix  # (r0+r1) square; rows/cols indexed E0 first, then E1
+    __slots__ = _fields = ("base", "conn", "matrix")
 
     @property
     def block01(self) -> FormMatrix:
@@ -213,13 +208,11 @@ def phi_strictness_check(M: MatFac, conn: Connection = None, at: AtiyahClass = N
 # the Chern character
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomologyClass:
-    """Even components of ch, each given by its canonical normal form."""
+class HomologyClass(Frozen):
+    """Even components of ch, each given by its canonical normal form;
+    entries is a tuple of (even degree, Form), degrees ascending."""
 
-    f: Poly
-    n: int
-    entries: tuple  # tuple of (even degree, Form), degrees ascending
+    __slots__ = _fields = ("f", "n", "entries")
 
     @property
     def components(self) -> dict:
@@ -319,13 +312,12 @@ def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:
 # classical Chern-Weil character of an idempotent
 # ---------------------------------------------------------------------------
 
-def classical_chern(e: PolyMatrix, ctx: RingCtx = None) -> Form:
+def classical_chern(e: PolyMatrix) -> Form:
     """tr(exp(R)) for the projective module Im(e) with its induced connection.
 
     R is realized as e.(de).(de); the result is truncated at the variable
     count and every even component is a de Rham cycle.
     """
-    ctx = ctx or e.ctx
     if e.rows != e.cols:
         raise RingError("idempotent must be square")
     if e * e != e:
@@ -333,10 +325,9 @@ def classical_chern(e: PolyMatrix, ctx: RingCtx = None) -> Form:
     E = _as_forms(e)
     de = fm_exterior_derivative(E)
     de2 = fm_mul(de, de)
-    n = ctx.nvars
     total = Form.from_poly(e.trace())
-    power = FormMatrix.identity(ctx, e.rows)
-    for k in range(1, n // 2 + 1):
+    power = FormMatrix.identity(e.ctx, e.rows)
+    for k in range(1, e.ctx.nvars // 2 + 1):
         power = fm_mul(power, de2)
         term = graded_trace(fm_mul(E, power)).scale(Fraction(1, math.factorial(k)))
         total = total + term
@@ -399,13 +390,11 @@ def tensor_multiplicativity_check(E: MatFac, F: MatFac,
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class RingMap:
-    """A ring homomorphism given by polynomial images of each variable."""
+class RingMap(Frozen):
+    """A ring homomorphism given by polynomial images of each variable;
+    images is a tuple[Poly, ...] in the target ring."""
 
-    source: RingCtx
-    target: RingCtx
-    images: tuple  # tuple[Poly, ...] in the target ring
+    __slots__ = _fields = ("source", "target", "images")
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
@@ -458,12 +447,11 @@ def functoriality_check(M: MatFac, phi: RingMap) -> bool:
 # formal K-classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KClass:
-    """Formal Z-linear combination of matrix factorizations over one ring."""
+class KClass(Frozen):
+    """Formal Z-linear combination of matrix factorizations over one ring;
+    terms is a tuple of (int coefficient, MatFac)."""
 
-    ctx: RingCtx
-    terms: tuple  # tuple of (int coefficient, MatFac)
+    __slots__ = _fields = ("ctx", "terms")
 
     def __post_init__(self):
         for _, M in self.terms:

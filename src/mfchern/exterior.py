@@ -10,13 +10,13 @@ from __future__ import annotations
 from operator import add
 from typing import Mapping
 
-from .ring import Matrix, Poly, RingCtx, RingError, _PolyParser, print_poly
+from .ring import Frozen, Matrix, Poly, RingCtx, RingError, _PolyParser, print_poly
 
 
-class Form:
+class Form(Frozen):
     """Element of the exterior algebra, keyed by increasing index tuples."""
 
-    __slots__ = ("ctx", "components")
+    __slots__ = _fields = ("ctx", "components")
 
     def __init__(self, ctx: RingCtx, components=()):
         items = components.items() if isinstance(components, Mapping) else components
@@ -33,13 +33,7 @@ class Form:
                 acc[idx] = acc[idx] + p
             else:
                 acc[idx] = p
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(
-            self, "components", {i: p for i, p in acc.items() if not p.is_zero()}
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("Form is immutable")
+        super().__init__(ctx, {i: p for i, p in acc.items() if not p.is_zero()})
 
     @classmethod
     def _trusted(cls, ctx: RingCtx, components: dict) -> "Form":
@@ -109,13 +103,6 @@ class Form:
         """Multiply by a Poly or exact scalar."""
         return Form._trusted(self.ctx, {i: p * c for i, p in self.components.items()})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and self.ctx == other.ctx
-            and self.components == other.components
-        )
-
     def __hash__(self):
         return hash((self.ctx, frozenset(self.components.items())))
 
@@ -163,12 +150,11 @@ def parse_form(text: str, ctx: RingCtx) -> Form:
     return out
 
 
-def print_form(w: Form, ctx: RingCtx = None) -> str:
+def print_form(w: Form) -> str:
     """Deterministic printing; index tuples sorted lexicographically.
 
     The sign of a one-term coefficient is the sign of its term; a longer
     coefficient of a differential goes in parentheses."""
-    ctx = ctx or w.ctx
     if w.is_zero():
         return "0"
     parts = []
@@ -178,9 +164,9 @@ def print_form(w: Form, ctx: RingCtx = None) -> str:
         neg = atomic and min(p.terms.values()) < 0
         if neg:
             p = -p
-        body = print_poly(p, ctx)
+        body = print_poly(p)
         if idx:
-            dtxt = "^".join(f"d{ctx.variables[i]}" for i in idx)
+            dtxt = "^".join(f"d{w.ctx.variables[i]}" for i in idx)
             if p == Poly.one(p.ctx):
                 body = dtxt
             elif atomic:

@@ -23,7 +23,6 @@ are unique, so the pair order changes the cost, never the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -31,6 +30,7 @@ from operator import add, le
 
 from .exterior import Form, wedge
 from .ring import (
+    Frozen,
     Poly,
     RingCtx,
     RingError,
@@ -241,11 +241,11 @@ def _reduced_basis(vectors, rank: int, ctx: RingCtx) -> tuple:
 # ideals: the rank-1 case
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ctx: RingCtx
-    generators: tuple  # tuple[Poly, ...], monic, reduced, sorted
-    _basis: _Basis = field(init=False, compare=False, repr=False)
+class GroebnerBasis(Frozen):
+    """An ideal's reduced basis: a tuple[Poly, ...], monic and sorted."""
+
+    _fields = ("ctx", "generators")
+    __slots__ = (*_fields, "_basis")
 
     def __post_init__(self):
         object.__setattr__(
@@ -296,12 +296,11 @@ def is_groebner(gb) -> bool:
 # submodules of Omega^k (free on the k-subsets of variable indices)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModuleGB:
-    ctx: RingCtx
-    ambient_rank: int
-    generators: tuple  # tuple of vectors; vector = tuple[Poly, ...]
-    _basis: _Basis = field(init=False, compare=False, repr=False)
+class ModuleGB(Frozen):
+    """A submodule's reduced basis: a tuple of vectors, each a tuple[Poly, ...]."""
+
+    _fields = ("ctx", "ambient_rank", "generators")
+    __slots__ = (*_fields, "_basis")
 
     def __post_init__(self):
         object.__setattr__(self, "_basis", _Basis(self.ctx, self.generators))

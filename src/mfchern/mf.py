@@ -7,9 +7,7 @@ modules are allowed (empty matrices), so the tensor unit (0 <=> Q) exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ring import Matrix, Poly, RingCtx, RingError
+from .ring import Frozen, Matrix, Poly, RingCtx, RingError
 
 
 class ValidationError(ValueError):
@@ -71,14 +69,11 @@ def _check_f_identity(prod: PolyMatrix, f: Poly, label: str):
                 )
 
 
-@dataclass(frozen=True)
-class MatFac:
-    """A matrix factorization (E_1 --A--> E_0 --B--> E_1) of the potential f."""
+class MatFac(Frozen):
+    """A matrix factorization (E_1 --A--> E_0 --B--> E_1) of the potential f:
+    A (r0 x r1) is the map d_1 : E_1 -> E_0, B (r1 x r0) is d_0 : E_0 -> E_1."""
 
-    ctx: RingCtx
-    f: Poly
-    A: PolyMatrix  # r0 x r1, the map d_1 : E_1 -> E_0
-    B: PolyMatrix  # r1 x r0, the map d_0 : E_0 -> E_1
+    __slots__ = _fields = ("ctx", "f", "A", "B")
 
     @property
     def r0(self) -> int:
@@ -120,14 +115,11 @@ def direct_sum(M: MatFac, N: MatFac) -> MatFac:
     return MatFac(ctx, M.f, A, B)
 
 
-@dataclass(frozen=True)
-class StrictMorphism:
-    """Degree-0 map commuting with the differentials on the nose."""
+class StrictMorphism(Frozen):
+    """Degree-0 map commuting with the differentials on the nose; alpha0 is
+    target.r0 x source.r0, alpha1 is target.r1 x source.r1."""
 
-    source: MatFac
-    target: MatFac
-    alpha0: PolyMatrix  # target.r0 x source.r0
-    alpha1: PolyMatrix  # target.r1 x source.r1
+    __slots__ = _fields = ("source", "target", "alpha0", "alpha1")
 
     def __post_init__(self):
         ok, why = is_strict_morphism(
@@ -170,12 +162,11 @@ def zero_morphism(M: MatFac, N: MatFac) -> StrictMorphism:
     )
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """Odd map; validity is the predicate is_homotopy, not a constructor check."""
+class Homotopy(Frozen):
+    """Odd map; validity is the predicate is_homotopy, not a constructor check.
+    h0 maps source.r0 -> target.r1, h1 maps source.r1 -> target.r0."""
 
-    h0: PolyMatrix  # source.r0 -> target.r1
-    h1: PolyMatrix  # source.r1 -> target.r0
+    __slots__ = _fields = ("h0", "h1")
 
 
 def is_homotopy(h: Homotopy, alpha: StrictMorphism, beta: StrictMorphism) -> bool:
@@ -194,11 +185,10 @@ def is_homotopy(h: Homotopy, alpha: StrictMorphism, beta: StrictMorphism) -> boo
     return eq0.is_zero() and eq1.is_zero()
 
 
-@dataclass(frozen=True)
-class ConeResult:
-    cone: MatFac
-    from_target: StrictMorphism  # N -> cone(alpha)
-    to_shifted_source: StrictMorphism  # cone(alpha) -> M[1]
+class ConeResult(Frozen):
+    """cone(alpha) for alpha: M -> N, with its strict maps from N and to M[1]."""
+
+    __slots__ = _fields = ("cone", "from_target", "to_shifted_source")
 
 
 def cone(alpha: StrictMorphism) -> ConeResult:
@@ -264,14 +254,11 @@ def tensor(M: MatFac, N: MatFac) -> MatFac:
 # bounded complexes of free modules and the Z/2-folding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Bounded cochain complex of free modules; d_i : C^i -> C^(i+1)."""
+class ChainComplex(Frozen):
+    """Bounded cochain complex of free modules; d_i : C^i -> C^(i+1).  ranks[j]
+    is the rank of C^(min_degree + j); differentials[j] maps rank j to rank j+1."""
 
-    ctx: RingCtx
-    min_degree: int
-    ranks: tuple  # rank of C^(min_degree + j)
-    differentials: tuple  # len(ranks)-1 matrices, d_j: rank j -> rank j+1
+    __slots__ = _fields = ("ctx", "min_degree", "ranks", "differentials")
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.ranks) - 1, 0):

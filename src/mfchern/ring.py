@@ -8,7 +8,6 @@ other as a ``fractions.Fraction``; no floating point appears anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, log2
@@ -52,15 +51,54 @@ class ParseError(RingError):
     """Raised when a polynomial expression does not match the grammar."""
 
 
-@dataclass(frozen=True)
-class RingCtx:
-    """The polynomial ring Q[x_1..x_n] with a pinned monomial order."""
+class Frozen:
+    """An immutable value.  A subclass writes ``__slots__ = _fields = (...)``
+    and lists a derived slot, such as a cache, in ``__slots__`` only.  The
+    constructor sets the fields in order, then calls the check ``__post_init__``."""
 
-    variables: tuple
-    order: str = "degrevlex"
+    __slots__ = _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
+        pass
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return other is self or (
+            type(other) is type(self) and self._values() == other._values()
+        )
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RingCtx(Frozen):
+    """The polynomial ring Q[x_1..x_n] with a pinned monomial order."""
+
+    __slots__ = _fields = ("variables", "order")
+
+    def __init__(self, variables, order="degrevlex"):
+        super().__init__(tuple(variables), order)
+
+    def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise RingError("variable names must be unique")
         for v in self.variables:
@@ -139,10 +177,11 @@ def _canonical(terms: dict) -> dict:
     }
 
 
-class Poly:
+class Poly(Frozen):
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_hash")
+    _fields = ("ctx", "terms")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, ctx: RingCtx, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -154,11 +193,7 @@ class Poly:
             if any(e < 0 for e in m):
                 raise RingError("negative exponent in monomial")
             acc[m] = acc.get(m, 0) + (c if type(c) is int else Fraction(c))
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", _canonical(acc))
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("Poly is immutable")
+        super().__init__(ctx, _canonical(acc))
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -254,13 +289,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         try:
@@ -569,22 +597,21 @@ def _print_monomial(m: Monomial, ctx: RingCtx) -> str:
     return "*".join(parts)
 
 
-def print_poly(p: Poly, ctx: RingCtx = None) -> str:
+def print_poly(p: Poly) -> str:
     """Deterministic printing: terms sorted descending by the ring order.
 
     Round-trips through :func:`parse_poly`.  A coefficient or exponent too
     long to convert to decimal, which the tokenizer would not read back
     either, is a RingError.
     """
-    ctx = ctx or p.ctx
     if p.is_zero():
         return "0"
     out = []
-    for m in sorted(p.terms, key=ctx.monomial_key, reverse=True):
+    for m in sorted(p.terms, key=p.ctx.monomial_key, reverse=True):
         c = p.terms[m]
         mag = abs(c)
         try:
-            mono = _print_monomial(m, ctx)
+            mono = _print_monomial(m, p.ctx)
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -607,7 +634,7 @@ def print_poly(p: Poly, ctx: RingCtx = None) -> str:
 # matrices
 # ---------------------------------------------------------------------------
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable rectangular matrix over a ring context, with explicit shape.
 
     Subclasses fix the entry type in ``_kind`` (a class with ``ctx``,
@@ -615,7 +642,7 @@ class Matrix:
     their own products and scaling.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = _fields = ("ctx", "rows", "cols", "entries")
     _kind = None
 
     def __init__(self, ctx: RingCtx, rows: int, cols: int, entries):
@@ -634,13 +661,7 @@ class Matrix:
                     )
                 if e.ctx is not ctx and e.ctx != ctx:
                     raise RingError("matrix entry in wrong ring context")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        super().__init__(ctx, rows, cols, entries)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -721,17 +742,6 @@ class Matrix:
     # -- comparison --------------------------------------------------------
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.ctx == other.ctx
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.rows}x{self.cols})"

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -475,6 +477,20 @@ class TestNormalForm:
         assert cli._infer_ctx(None, "2*x^2", "y*dy + dz").variables == ("x", "y", "dz")
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost: the value types need neither module, and a fresh
+    interpreter importing the CLI loads neither."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, mfchern.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzed documents
 # ---------------------------------------------------------------------------
@@ -493,6 +509,7 @@ FUZZ_CASES = [
     (["shift", "{m}"], {"m": THREEVAR}),
     (["tensor", "{a}", "{b}"], {"a": KOSZUL, "b": KOSZUL}),
     (["embed", "{k}", "--vars", "x", "y", "z"], {"k": KOSZUL}),
+    (["check", "{k}", "--suite", "odd"], {"k": KOSZUL}),
 ]
 
 RETYPED = [
@@ -503,7 +520,8 @@ LARGE = [
     "9" * 4300, "9" * 4301, "x^" + "9" * 4300, "(3*x)^30000000", "(2*x)^14285",
     "(1000*x)^2000*dx", "(x+y+1)^" + "9" * 3000, "(x+y+1)^400", 64, 10 ** 6, 10 ** 30,
 ]
-OPS = ["retype", "enlarge", "delete", "duplicate", "append", "drop", "wrap"]
+OPS = ["retype", "enlarge", "delete", "duplicate", "append", "drop", "wrap", "argv"]
+ARGV_OPS = ["drop", "repeat", "nosuch", "missing", "seed"]
 
 
 def _paths(value, prefix=()):
@@ -543,9 +561,23 @@ def _mutate(doc, path, op, payload):
     return json.dumps(doc)
 
 
+def _mutate_argv(argv, op, i):
+    """``argv`` after one mutation at its i-th argument."""
+    if op == "drop":
+        return argv[:i] + argv[i + 1:]
+    if op == "repeat":  # a flag with its value, or else one argument
+        return argv + argv[i:i + 2 if argv[i].startswith("--") else i + 1]
+    if op == "nosuch":
+        return argv[:i] + ["--nosuch"] + argv[i:]
+    if op == "missing":  # every document path names no file
+        return [a + ".missing" if a.startswith("{") else a for a in argv]
+    return argv + ["--seed", "x"]
+
+
 @st.composite
 def fuzz_cases(draw):
-    """A valid case with one or two mutations of its first document."""
+    """A valid case with one or two mutations of its first document or of
+    its argument list."""
     argv, docs = draw(st.sampled_from(FUZZ_CASES))
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     first = next(iter(docs))
@@ -553,6 +585,10 @@ def fuzz_cases(draw):
         doc = json.loads(texts[first])
         path = draw(st.sampled_from(list(_paths(doc))))
         op = draw(st.sampled_from(OPS))
+        if op == "argv":  # argv keeps at least one of its two or more arguments
+            i = draw(st.integers(0, len(argv) - 1))
+            argv = _mutate_argv(argv, draw(st.sampled_from(ARGV_OPS)), i)
+            continue
         payload = draw(st.sampled_from(LARGE if op == "enlarge" else RETYPED))
         texts[first] = _mutate(doc, path, op, payload)
     return argv, {name: text.encode() for name, text in texts.items()}

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import time
 from fractions import Fraction
 
@@ -14,14 +16,26 @@ from mfchern import (
     PolyMatrix,
     RingCtx,
     RingError,
+    RingMap,
+    atiyah,
+    buchberger,
+    chern_character,
+    cone,
+    connection_default,
+    contraction_of_identity_cone,
     graded_trace,
+    identity_morphism,
+    kclass,
+    module_buchberger,
+    module_complex,
     parse_form,
     parse_poly,
     print_poly,
 )
 from mfchern import ring as ring_module
+from mfchern.ring import Frozen
 
-from conftest import polys, ring
+from conftest import mf_1x1, polys, ring
 
 CTX = ring("x", "y", "z")
 
@@ -389,6 +403,57 @@ class TestMatrix:
         assert repr(cls.zeros(CTX, 2, 3)) == f"{cls.__name__}(2x3)"
         with pytest.raises(AttributeError, match="immutable"):
             cls.zeros(CTX, 1, 1).rows = 2
+
+
+def _koszul():
+    return mf_1x1(ring("x", "y"), "x", "y")
+
+
+# one builder of an instance of each immutable value type; two calls give
+# equal values that share no object
+VALUES = {
+    "RingCtx": lambda: ring("x", "y"),
+    "Poly": lambda: parse_poly("x*y + 1", CTX),
+    "Form": lambda: parse_form("x*dy - dz", CTX),
+    "PolyMatrix": lambda: PolyMatrix.identity(CTX, 2),
+    "FormMatrix": lambda: FormMatrix.diagonal(CTX, 2, form_entry("x*dy")),
+    "MatFac": _koszul,
+    "StrictMorphism": lambda: identity_morphism(_koszul()),
+    "Homotopy": lambda: contraction_of_identity_cone(_koszul()),
+    "ConeResult": lambda: cone(identity_morphism(_koszul())),
+    "ChainComplex": lambda: module_complex(CTX, 2),
+    "Connection": lambda: connection_default(_koszul()),
+    "AtiyahClass": lambda: atiyah(_koszul(), connection_default(_koszul())),
+    "HomologyClass": lambda: chern_character(_koszul()),
+    "RingMap": lambda: RingMap(CTX, CTX, tuple(poly_entry(v) for v in "yxz")),
+    "KClass": lambda: kclass(_koszul(), 2),
+    "GroebnerBasis": lambda: buchberger([poly_entry("x*y"), poly_entry("x^2")], CTX),
+    "ModuleGB": lambda: module_buchberger(
+        [(poly_entry("x"), poly_entry("y"))], 2, CTX),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_value_type_is_one_frozen_value(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name and isinstance(a, Frozen)
+    fields = [getattr(a, f) for f in a._fields]
+    hash(a)  # fills Poly._hash on a only
+    # the derived slots (Poly._hash, the Groebner _basis) differ between a
+    # and b, and take no part in equality, hashing or repr
+    for slot in set(type(a).__slots__) - set(a._fields):
+        assert getattr(a, slot) is not getattr(b, slot, None)
+        assert slot not in repr(a)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != (ring("y", "x") if name == "RingCtx" else ring("x", "y"))
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(a, a._fields[0], None)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(a, a._fields[-1])
+    with pytest.raises(TypeError):
+        type(a)(*fields, None)
+    assert copy.copy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_graded_trace_is_the_shared_trace():
