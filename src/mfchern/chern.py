@@ -24,7 +24,7 @@ from .exterior import (
 )
 from .ideals import df_form, form_normal_form
 from .mf import MatFac, PolyMatrix, StrictMorphism, cone, tensor
-from .ring import Frozen, Poly, RingError
+from .ring import Frozen, Poly, RingCtx, RingError
 
 
 class InternalConsistencyError(AssertionError):
@@ -92,48 +92,37 @@ def random_connection(M: MatFac, rng) -> Connection:
 
 
 class AtiyahClass(Frozen):
-    """Odd 1-form-valued endomorphism; block off-diagonal in (E0, E1) order:
-    matrix is (r0+r1) square, its rows and columns indexed E0 first, then E1."""
+    """Odd 1-form-valued endomorphism of E0 (+) E1, held as its two
+    off-diagonal blocks: block01 (r0 x r1) maps E1 -> Omega^1 (x) E0 and
+    block10 (r1 x r0) maps E0 -> Omega^1 (x) E1."""
 
-    __slots__ = _fields = ("base", "conn", "matrix")
-
-    @property
-    def block01(self) -> FormMatrix:
-        """The E1 -> Omega^1 (x) E0 block (r0 x r1)."""
-        M = self.base
-        return FormMatrix(
-            M.ctx, M.r0, M.r1,
-            [row[M.r0:] for row in self.matrix.entries[: M.r0]],
-        )
+    __slots__ = _fields = ("base", "conn", "block01", "block10")
 
     @property
-    def block10(self) -> FormMatrix:
-        """The E0 -> Omega^1 (x) E1 block (r1 x r0)."""
+    def matrix(self) -> FormMatrix:
+        """The dense (r0+r1)-square [[0, At01], [At10, 0]], rows and columns
+        indexed E0 first, then E1; built on each call, for the dense oracle."""
         M = self.base
-        return FormMatrix(
-            M.ctx, M.r1, M.r0,
-            [row[: M.r0] for row in self.matrix.entries[M.r0:]],
-        )
+        r = (M.r0, M.r1)
+        return FormMatrix.blocks(M.ctx, r, r, {(0, 1): self.block01, (1, 0): self.block10})
 
 
 def atiyah(M: MatFac, conn: Connection) -> AtiyahClass:
     if conn.base != M:
         raise RingError("connection belongs to a different matrix factorization")
-    ctx = M.ctx
     A, B = _as_forms(M.A), _as_forms(M.B)
     at01 = fm_exterior_derivative(A) + fm_mul(conn.gamma0, A) - fm_mul(A, conn.gamma1)
     at10 = fm_exterior_derivative(B) + fm_mul(conn.gamma1, B) - fm_mul(B, conn.gamma0)
-    r = (M.r0, M.r1)
-    full = FormMatrix.blocks(ctx, r, r, {(0, 1): at01, (1, 0): at10})
-    return AtiyahClass(M, conn, full)
+    return AtiyahClass(M, conn, at01, at10)
 
 
 def atiyah_powers(at: AtiyahClass, top: int):
     """At^0, At^1, ..., At^top, each one wedge-matrix product past the last."""
-    power = FormMatrix.identity(at.base.ctx, at.matrix.rows)
+    m = at.matrix
+    power = FormMatrix.identity(m.ctx, m.rows)
     yield power
     for _ in range(top):
-        power = fm_mul(power, at.matrix)
+        power = fm_mul(power, m)
         yield power
 
 
@@ -209,10 +198,17 @@ def phi_strictness_check(M: MatFac, conn: Connection = None, at: AtiyahClass = N
 # ---------------------------------------------------------------------------
 
 class HomologyClass(Frozen):
-    """Even components of ch, each given by its canonical normal form;
-    entries is a tuple of (even degree, Form), degrees ascending."""
+    """A class in the homology of (Omega^*, df^) given by one cycle per
+    degree, as a degree -> Form mapping or as (degree, Form) pairs; entries
+    is a tuple of (degree, normal form of the cycle), degrees ascending."""
 
     __slots__ = _fields = ("f", "n", "entries")
+
+    def __init__(self, f: Poly, n: int, cycles):
+        cycles = dict(cycles)
+        super().__init__(
+            f, n, tuple((d, form_normal_form(cycles[d], f)) for d in sorted(cycles))
+        )
 
     @property
     def components(self) -> dict:
@@ -227,26 +223,19 @@ class HomologyClass(Frozen):
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         if self.f != other.f or self.n != other.n:
             raise RingError("homology classes over different complexes")
-        degs = sorted({d for d, _ in self.entries} | {d for d, _ in other.entries})
-        out = []
-        for d in degs:
-            w = form_normal_form(self.component(d) + other.component(d), self.f)
-            out.append((d, w))
-        return HomologyClass(self.f, self.n, tuple(out))
+        degs = self.components.keys() | other.components.keys()
+        return HomologyClass(
+            self.f, self.n, {d: self.component(d) + other.component(d) for d in degs}
+        )
 
     def __neg__(self) -> "HomologyClass":
-        return HomologyClass(
-            self.f, self.n, tuple((d, -w) for d, w in self.entries)
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "HomologyClass":
-        return HomologyClass(
-            self.f, self.n,
-            tuple((d, form_normal_form(w.scale(c), self.f)) for d, w in self.entries),
-        )
+        return HomologyClass(self.f, self.n, ((d, w.scale(c)) for d, w in self.entries))
 
 
 def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
@@ -281,13 +270,12 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
         if not (tx + ty).is_zero():
             raise InternalConsistencyError(f"tr(Y^{i}) != -tr(X^{i})")
         strs.append(tx - ty)
-    entries = []
+    cycles = {}
     for i, s in zip(range(0, n + 1, 2), strs):
         if not wedge(df, s).is_zero():
             raise InternalConsistencyError(f"df ^ str(At^{i}) != 0")
-        rep = form_normal_form(s.scale(Fraction(1, math.factorial(i))), M.f)
-        entries.append((i, rep))
-    return HomologyClass(M.f, n, tuple(entries))
+        cycles[i] = s.scale(Fraction(1, math.factorial(i)))
+    return HomologyClass(M.f, n, cycles)
 
 
 def _power_traces(X: FormMatrix, top: int) -> list:
@@ -329,8 +317,7 @@ def classical_chern(e: PolyMatrix) -> Form:
     power = FormMatrix.identity(e.ctx, e.rows)
     for k in range(1, e.ctx.nvars // 2 + 1):
         power = fm_mul(power, de2)
-        term = graded_trace(fm_mul(E, power)).scale(Fraction(1, math.factorial(k)))
-        total = total + term
+        total = total + _trace_of_product(E, power).scale(Fraction(1, math.factorial(k)))
     return total
 
 
@@ -338,9 +325,9 @@ def classical_chern(e: PolyMatrix) -> Form:
 # additivity / multiplicativity / functoriality checks
 # ---------------------------------------------------------------------------
 
-def cone_connection(theta: StrictMorphism, connP: Connection, connQ: Connection,
-                    C: MatFac) -> Connection:
-    """Block-diagonal connection on cone(theta): (Q1 + P0, Q0 + P1) pieces."""
+def cone_connection(connP: Connection, connQ: Connection, C: MatFac) -> Connection:
+    """Block-diagonal connection on the cone C of a morphism P -> Q, whose
+    pieces are (Q1 + P0, Q0 + P1)."""
     def diag(a, b):
         r = (a.rows, b.rows)
         return FormMatrix.blocks(C.ctx, r, r, {(0, 0): a, (1, 1): b})
@@ -357,7 +344,7 @@ def cone_additivity_check(theta: StrictMorphism, connP: Connection = None,
     connP = connP or connection_default(P)
     connQ = connQ or connection_default(Q)
     C = cone(theta).cone
-    connC = cone_connection(theta, connP, connQ, C)
+    connC = cone_connection(connP, connQ, C)
     lhs = chern_character(Q, connQ)
     rhs = chern_character(P, connP) + chern_character(C, connC)
     return lhs == rhs
@@ -369,8 +356,7 @@ def tensor_multiplicativity_check(E: MatFac, F: MatFac,
     """ch(E (x) F) equals the wedge of representatives, reduced mod d(f+g)^."""
     if E.ctx != F.ctx:
         raise RingError("tensor factors must share a ring context")
-    ctx = E.ctx
-    n = ctx.nvars
+    n = E.ctx.nvars
     T = tensor(E, F)
     lhs = chern_character(T)
     chE = chern_character(E, connE)
@@ -382,12 +368,7 @@ def tensor_multiplicativity_check(E: MatFac, F: MatFac,
                 continue
             w = wedge(wa, wb)
             acc[a + b] = acc[a + b] + w if a + b in acc else w
-    rhs_entries = []
-    for d, _ in lhs.entries:
-        w = acc.get(d, Form.zero(ctx))
-        rhs_entries.append((d, form_normal_form(w, T.f)))
-    rhs = HomologyClass(T.f, n, tuple(rhs_entries))
-    return lhs == rhs
+    return lhs == HomologyClass(T.f, n, acc)
 
 
 class RingMap(Frozen):
@@ -429,18 +410,21 @@ def pushforward(M: MatFac, phi: RingMap) -> MatFac:
     return MatFac(tgt, phi.apply(M.f), A, B)
 
 
+def embed(M: MatFac, new_ctx: RingCtx) -> MatFac:
+    """Re-express M over a ring whose variables include all of M's: base
+    change along the inclusion map."""
+    images = [Poly.variable(new_ctx, new_ctx.var_index(v)) for v in M.ctx.variables]
+    return pushforward(M, RingMap(M.ctx, new_ctx, images))
+
+
 def functoriality_check(M: MatFac, phi: RingMap) -> bool:
     """Pushing representatives forward agrees with ch of the pushforward."""
     if phi.source.nvars != phi.target.nvars:
         raise RingError("functoriality requires equal relative dimensions")
     N = pushforward(M, phi)
     lhs = chern_character(N)
-    chM = chern_character(M)
-    entries = []
-    for d, w in chM.entries:
-        entries.append((d, form_normal_form(phi.push_form(w), N.f)))
-    rhs = HomologyClass(N.f, phi.target.nvars, tuple(entries))
-    return lhs == rhs
+    pushed = ((d, phi.push_form(w)) for d, w in chern_character(M).entries)
+    return lhs == HomologyClass(N.f, phi.target.nvars, pushed)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .chern import (
     chern_character,
     cone_additivity_check,
     connection_default,
+    embed,
     functoriality_check,
     phi_strictness_check,
     phi_tilde_n,
@@ -52,7 +53,6 @@ from .mf import (
     StrictMorphism,
     ValidationError,
     cone,
-    embed,
     fold_complex,
     identity_morphism,
     mf_unit,

@@ -126,10 +126,10 @@ def exterior_derivative(a: Form) -> Form:
             if dp.is_zero():
                 continue
             # dx_i wedged in front of dx_idx, then sorted into place
-            sign = -1 if sum(1 for j in idx if j < i) % 2 else 1
+            if sum(1 for j in idx if j < i) % 2:
+                dp = -dp
             new = tuple(sorted(idx + (i,)))
-            q = dp * sign
-            acc[new] = acc[new] + q if new in acc else q
+            acc[new] = acc[new] + dp if new in acc else dp
     return Form._trusted(a.ctx, acc)
 
 

@@ -28,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le
 
-from .exterior import Form, wedge
+from .exterior import Form, exterior_derivative, wedge
 from .ring import (
     Frozen,
     Poly,
@@ -333,12 +333,7 @@ def _coordinates(w: Form, subsets) -> tuple:
 
 
 def df_form(f: Poly) -> Form:
-    acc = {}
-    for i in range(f.ctx.nvars):
-        dp = f.partial_derivative(i)
-        if not dp.is_zero():
-            acc[(i,)] = dp
-    return Form(f.ctx, acc)
+    return exterior_derivative(Form.from_poly(f))
 
 
 def df_image_module_gb(f: Poly, k: int) -> ModuleGB:

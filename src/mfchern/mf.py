@@ -330,16 +330,3 @@ def tensor_complexes(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     ranks = tuple(sum(s) for s in sizes)
     return ChainComplex(ctx, X.min_degree + Y.min_degree, ranks, tuple(diffs))
 
-
-def embed(M: MatFac, new_ctx: RingCtx) -> MatFac:
-    """Re-express M over a ring whose variables include all of M's."""
-    idx = [new_ctx.var_index(v) for v in M.ctx.variables]
-    images = tuple(Poly.variable(new_ctx, i) for i in idx)
-
-    def conv(p):
-        return p.substitute(new_ctx, images)
-
-    return MatFac(
-        new_ctx, conv(M.f),
-        M.A.map_entries(conv, new_ctx), M.B.map_entries(conv, new_ctx),
-    )

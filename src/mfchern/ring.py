@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, log2
-from operator import add, le, sub
+from operator import add, attrgetter, le, sub
 from typing import Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
@@ -52,11 +52,17 @@ class ParseError(RingError):
 
 
 class Frozen:
-    """An immutable value.  A subclass writes ``__slots__ = _fields = (...)``
-    and lists a derived slot, such as a cache, in ``__slots__`` only.  The
-    constructor sets the fields in order, then calls the check ``__post_init__``."""
+    """An immutable value.  A subclass writes ``__slots__ = _fields = (...)``,
+    at least two names, and lists a derived slot, such as a cache, in
+    ``__slots__`` only.  The constructor sets the fields in order, then calls
+    the check ``__post_init__``."""
 
     __slots__ = _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple; with two or more names attrgetter returns a tuple
+        cls._values = staticmethod(attrgetter(*cls._fields))
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -72,22 +78,19 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         return other is self or (
-            type(other) is type(self) and self._values() == other._values()
+            type(other) is type(self) and self._values(self) == self._values(other)
         )
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._values(self)))})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class RingCtx(Frozen):

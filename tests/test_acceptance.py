@@ -128,16 +128,7 @@ def test_03_strictness():
     conn = Connection(M, gamma0, gamma1)
     good = atiyah(M, conn)
     bare = atiyah(M, connection_default(M))
-    mangled = AtiyahClass(
-        M, conn,
-        FormMatrix(
-            CTX2, 2, 2,
-            [
-                [good.matrix.entries[0][0], bare.matrix.entries[0][1]],
-                [good.matrix.entries[1][0], good.matrix.entries[1][1]],
-            ],
-        ),
-    )
+    mangled = AtiyahClass(M, conn, bare.block01, good.block10)
     ok = ok and not phi_strictness_check(M, conn, at=mangled)[0]
     report(3, "strictness of [1; At] with negative control", ok)
 

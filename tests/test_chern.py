@@ -9,6 +9,7 @@ from mfchern import (
     Connection,
     Form,
     FormMatrix,
+    HomologyClass,
     InternalConsistencyError,
     Poly,
     PolyMatrix,
@@ -21,6 +22,7 @@ from mfchern import (
     cone,
     cone_additivity_check,
     connection_default,
+    df_form,
     direct_sum,
     exterior_derivative,
     fm_exterior_derivative,
@@ -43,6 +45,7 @@ from mfchern import (
     supertrace,
     tensor,
     tensor_multiplicativity_check,
+    wedge,
     zero_morphism,
 )
 from mfchern import chern
@@ -112,16 +115,7 @@ class TestStrictness:
         conn = Connection(M, gamma0, gamma1)
         good = atiyah(M, conn)
         bare = atiyah(M, connection_default(M))
-        mangled = AtiyahClass(
-            M, conn,
-            FormMatrix(
-                ctx, 2, 2,
-                [
-                    [good.matrix.entries[0][0], bare.matrix.entries[0][1]],
-                    [good.matrix.entries[1][0], good.matrix.entries[1][1]],
-                ],
-            ),
-        )
+        mangled = AtiyahClass(M, conn, bare.block01, good.block10)
         ok, _ = phi_strictness_check(M, conn, at=mangled)
         assert not ok
 
@@ -202,6 +196,29 @@ class TestChernCharacter:
         for M in corpus:
             C = cone(identity_morphism(M)).cone
             assert chern_character(C).is_zero()
+
+    def test_class_is_read_modulo_df_image(self, threevar_example):
+        # a raw cycle and the same cycle plus df ^ eta give one class
+        M = threevar_example
+        at = atiyah(M, random_connection(M, random.Random(4)))
+        w = supertrace(atiyah_power(at, 2), M.r0, M.r1).scale(Fraction(1, 2))
+        eta = parse_form("x*dy - z^2*dx + dz", M.ctx)
+        moved = w + wedge(df_form(M.f), eta)
+        assert moved != w
+        assert HomologyClass(M.f, 3, {2: moved}) == HomologyClass(M.f, 3, {2: w})
+        assert HomologyClass(M.f, 3, [(2, w)]).component(2) == form_normal_form(w, M.f)
+
+    def test_kernel_builds_no_dense_atiyah_matrix(self, monkeypatch):
+        M = _koszul_tower(2)
+        conn = random_connection(M, random.Random(8))
+        calls = []
+        blocks = FormMatrix.blocks
+        monkeypatch.setattr(
+            FormMatrix, "blocks", classmethod(lambda cls, *a: calls.append(1) or blocks(*a))
+        )
+        chern_character(M, conn)
+        assert phi_strictness_check(M, conn)[0]
+        assert calls == []
 
 
 def _dense_chern(M, conn):

@@ -8,6 +8,7 @@ from mfchern import (
     MatFac,
     Poly,
     PolyMatrix,
+    RingMap,
     ValidationError,
     chern_character,
     cone,
@@ -21,6 +22,7 @@ from mfchern import (
     mf_unit,
     module_complex,
     parse_poly,
+    pushforward,
     shift,
     tensor,
     tensor_complexes,
@@ -235,6 +237,8 @@ class TestEmbed:
         F = embed(mf_1x1(ring("u", "v"), "u", "v"), big)
         T = tensor(E, F)
         assert T.f == parse_poly("x*y + u*v", big)
+        images = [parse_poly(v, big) for v in ("x", "y")]
+        assert E == pushforward(mf_1x1(small, "x", "y"), RingMap(small, big, images))
 
     def test_missing_variable_rejected(self):
         small = ring("x", "y")
