@@ -22,7 +22,7 @@ from .exterior import (
     graded_trace,
     wedge,
 )
-from .ideals import df_form, form_normal_form
+from .ideals import _jacobian_normal_forms, df_form, form_normal_form
 from .mf import MatFac, PolyMatrix, StrictMorphism, cone, tensor
 from .ring import Frozen, Poly, RingCtx, RingError
 
@@ -246,20 +246,35 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
 
         str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
 
-    while odd powers have zero diagonal blocks and are never formed.  Each
-    chain forms its powers only up to half the top one, rounded up, and
-    reads the higher traces off diagonal products (:func:`_power_traces`).
-    Two proved identities are re-verified on the way: tr(Y^i) = -tr(X^i)
-    (the graded cyclicity of the trace for matrices of 1-forms) and the
-    cycle condition df ^ str(At^(2i)) = 0.  A failure means the library is
-    broken, not the input, hence InternalConsistencyError.  The dense path
-    (atiyah_power, supertrace) stays public as the independent oracle for
-    this kernel.
+    while odd powers have zero diagonal blocks and are never formed.  One of
+    two kernels computes the traces; both re-verify the graded cyclicity of
+    the trace for matrices of 1-forms, tr(Y^i) = -tr(X^i), and raise
+    InternalConsistencyError if it fails: that means the library is broken,
+    not the input.
+
+    When n > 0 and the Jacobian ring Q[x]/J_f is finite-dimensional (an
+    isolated singularity), (Omega^*, df^) is exact below degree n, so every
+    lower class is zero and is not formed.  J_f.Omega^* is an ideal of the
+    exterior algebra and J_f.Omega^n = df^Omega^(n-1), so the top class may
+    be computed with every coefficient reduced mod J_f
+    (:func:`_jacobian_cycles`); its check is read mod J_f, and its cycle
+    condition holds by degree.  Every other f takes the power chains of
+    :func:`_chain_cycles`, which also re-verify the cycle condition
+    df ^ str(At^(2i)) = 0 in every degree.  The dense path (atiyah_power,
+    supertrace) stays public as the independent oracle for both kernels.
     """
-    conn = conn or connection_default(M)
+    at = atiyah(M, conn or connection_default(M))
+    nf = _jacobian_normal_forms(M.f)
+    cycles = _chain_cycles(at) if nf is None else _jacobian_cycles(at, nf)
+    return HomologyClass(M.f, M.ctx.nvars, cycles)
+
+
+def _chain_cycles(at: AtiyahClass) -> dict:
+    """{2i: str(At^(2i)) / (2i)!} for 2i <= n from the half-length power
+    chains of X and Y (:func:`_power_traces`); valid for every f."""
+    M = at.base
     ctx = M.ctx
     n = ctx.nvars
-    at = atiyah(M, conn)
     a, b = at.block01, at.block10
     half = n // 2
     tr_x = _power_traces(fm_mul(a, b), half)
@@ -275,7 +290,66 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
         if not wedge(df, s).is_zero():
             raise InternalConsistencyError(f"df ^ str(At^{i}) != 0")
         cycles[i] = s.scale(Fraction(1, math.factorial(i)))
-    return HomologyClass(M.f, n, cycles)
+    return cycles
+
+
+def _jacobian_cycles(at: AtiyahClass, nf) -> dict:
+    """The cycles of :func:`_chain_cycles` for an f whose Jacobian ring is
+    finite-dimensional, ``nf`` its monomial memo from
+    ``ideals._jacobian_normal_forms``: r0 - r1, zero below degree n, and
+    (tr(X^m) - tr(Y^m)) / n! in degree n = 2m with every product reduced
+    mod J_f; no chain at all when n is odd."""
+    M = at.base
+    ctx = M.ctx
+    n = ctx.nvars
+    cycles = dict.fromkeys(range(2, n, 2), Form.zero(ctx))
+    cycles[0] = Form.from_poly(Poly.const(ctx, M.r0 - M.r1))
+    if n % 2 == 0:
+        m = n // 2
+        a, b = at.block01, at.block10
+        tx = _top_trace(_reduced(fm_mul(a, b), nf), m, nf)
+        ty = _top_trace(_reduced(fm_mul(b, a), nf), m, nf)
+        if not _reduced_form(tx + ty, nf).is_zero():
+            raise InternalConsistencyError(f"tr(Y^{m}) != -tr(X^{m})")
+        cycles[n] = (tx - ty).scale(Fraction(1, math.factorial(n)))
+    return cycles
+
+
+def _top_trace(X: FormMatrix, m: int, nf) -> Form:
+    """tr(X^m), m >= 1, from the reduced powers X^k with k <= h = ceil(m/2)
+    and the diagonal of X^h.X^(m-h)."""
+    h = (m + 1) // 2
+    powers = [X]  # powers[k - 1] = X^k
+    while len(powers) < h:
+        powers.append(_reduced(fm_mul(powers[-1], X), nf))
+    if m == h:
+        return graded_trace(X)
+    return _trace_of_product(powers[-1], powers[m - h - 1])
+
+
+def _reduced(P: FormMatrix, nf) -> FormMatrix:
+    """P with every coefficient reduced by the monomial memo ``nf``; P
+    itself when none of its monomials reduces."""
+    if all(
+        nf[mono] is None
+        for row in P.entries for w in row for p in w.components.values()
+        for mono in p.terms
+    ):
+        return P
+    return P.map_entries(lambda w: _reduced_form(w, nf))
+
+
+def _reduced_form(w: Form, nf) -> Form:
+    """w with every coefficient reduced by the monomial memo ``nf``."""
+    out = {}
+    for idx, p in w.components.items():
+        acc = {}
+        for mono, c in p.terms.items():
+            r = nf[mono]
+            for u, d in ((mono, 1),) if r is None else r.terms.items():
+                acc[u] = acc[u] + c * d if u in acc else c * d
+        out[idx] = Poly._trusted(w.ctx, acc)
+    return Form._trusted(w.ctx, out)
 
 
 def _power_traces(X: FormMatrix, top: int) -> list:

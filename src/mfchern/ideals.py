@@ -357,6 +357,31 @@ def _cached_df_image_gb(f: Poly, k: int) -> ModuleGB:
     return df_image_module_gb(f, k)
 
 
+def _jacobian_normal_forms(f: Poly):
+    """A memo from a monomial to its normal form modulo the Jacobian ideal
+    J_f, or to None when no lead of J_f divides it; None instead of the memo
+    unless n > 0 and Q[x]/J_f is finite-dimensional.
+
+    In Omega^n the df-image is J_f.dx_1..n, so the cached basis of degree n
+    is the reduced basis of J_f.  The quotient is finite-dimensional exactly
+    when every variable has a pure-power lead; a lead of 1 serves them all."""
+    ctx = f.ctx
+    n = ctx.nvars
+    if n == 0:
+        return None
+    basis = _cached_df_image_gb(f, n)._basis
+    leads = [g[1] for g in basis.gens]
+    if not all(any(sum(lm) == lm[i] for lm in leads) for i in range(n)):
+        return None
+
+    def nf(m):
+        if any(all(map(le, lm, m)) for lm in leads):
+            return _normal_form(basis, (Poly._trusted(ctx, {m: 1}),), 1, ctx)[0]
+        return None
+
+    return _Memo(nf)
+
+
 def form_normal_form(w: Form, f: Poly) -> Form:
     """Canonical representative of w modulo im(df^ : Omega^(k-1) -> Omega^k).
 

@@ -263,8 +263,9 @@ class TestDenseOracle:
         self._check(_koszul_tower(m))
 
     def test_koszul_tower_n6_default_connection(self):
-        # random connections at n=6 make the normal forms too slow for a
-        # unit test; n <= 4 covers them
+        # under a random connection at n=6 the dense path's normal forms in
+        # degrees 2 and 4 are too slow for a unit test; n <= 4 covers them
+        # here, and TestJacobianKernel checks connection independence at n=6
         self._check(_koszul_tower(3), seeds=())
 
     def test_threevar_example(self, threevar_example):
@@ -293,9 +294,13 @@ class TestDenseOracle:
         self._check(U)
         assert chern_character(U).component(0) == Form.from_poly(Poly.one(ctx_xyz))
 
-    def test_trace_identity_check_fires(self, koszul_xy, monkeypatch):
-        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly
-        M = koszul_xy
+    @pytest.mark.parametrize("names, isolated", [("xy", True), ("xyz", False)])
+    def test_trace_identity_check_fires(self, names, isolated, monkeypatch):
+        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly, in
+        # the Jacobian kernel (x*y over x, y) and in the power chains (x*y
+        # over x, y, z, whose Jacobian ring is infinite-dimensional)
+        M = mf_1x1(ring(*names), "x", "y")
+        assert (chern._jacobian_normal_forms(M.f) is not None) == isolated
         b = atiyah(M, connection_default(M)).block10
         real = chern.fm_mul
 
@@ -306,6 +311,85 @@ class TestDenseOracle:
         monkeypatch.setattr(chern, "fm_mul", skewed)
         with pytest.raises(InternalConsistencyError, match="tr\\(Y"):
             chern_character(M)
+
+
+def _chain_character(M, conn=None):
+    """ch through the power chains, the kernel of every f whose Jacobian
+    ring is infinite-dimensional."""
+    at = atiyah(M, conn or connection_default(M))
+    return HomologyClass(M.f, M.ctx.nvars, chern._chain_cycles(at))
+
+
+class TestJacobianKernel:
+    """The Jacobian kernel of chern_character against the power chains."""
+
+    def _check(self, M, seeds=(5,)):
+        assert chern._jacobian_normal_forms(M.f) is not None
+        conns = [connection_default(M)]
+        conns += [random_connection(M, random.Random(s)) for s in seeds]
+        for conn in conns:
+            assert chern_character(M, conn).entries == _chain_character(M, conn).entries
+
+    def test_corpus(self, corpus):
+        for M in corpus:
+            self._check(M, seeds=(5, 6))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_koszul_towers(self, m):
+        self._check(_koszul_tower(m), seeds=(5,) if m < 3 else ())
+
+    def test_koszul_tower_n6_random_connection(self):
+        # the power chains did not finish this in 90 s; reduced mod J_f
+        # (the maximal ideal here) it takes about 0.1 s
+        T = _koszul_tower(3)
+        conn = random_connection(T, random.Random(5))
+        assert chern_character(T, conn) == chern_character(T)
+
+    def test_odd_n_forms_no_chain(self, threevar_example, monkeypatch):
+        M = threevar_example
+        self._check(M)
+        conn = random_connection(M, random.Random(3))
+        calls = []
+        monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        atiyah(M, conn)
+        in_atiyah = len(calls)
+        ch = chern_character(M, conn)
+        assert len(calls) == 2 * in_atiyah  # no product past the Atiyah class
+        assert [d for d, _ in ch.entries] == [0, 2]
+        assert ch.component(2).is_zero()
+
+    def test_direct_sums_and_cones(self, ctx_x, ctx_xy, threevar_example):
+        M = direct_sum(mf_1x1(ctx_xy, "x", "y"), mf_1x1(ctx_xy, "y", "x"))
+        self._check(direct_sum(M, mf_1x1(ctx_xy, "1", "x*y")))
+        theta = StrictMorphism(
+            mf_1x1(ctx_x, "x^2", "x"), mf_1x1(ctx_x, "x", "x^2"),
+            PolyMatrix(ctx_x, 1, 1, [[parse_poly("1", ctx_x)]]),
+            PolyMatrix(ctx_x, 1, 1, [[parse_poly("x", ctx_x)]]),
+        )
+        self._check(cone(theta).cone)
+        self._check(cone(identity_morphism(threevar_example)).cone)
+
+    def test_unit_jacobian_ideal(self, ctx_xy):
+        # f = x: J_f = (1), so every class above degree 0 is zero
+        M = mf_1x1(ctx_xy, "x", "1")
+        self._check(M, seeds=(5, 6))
+        assert chern_character(M).component(2).is_zero()
+
+    def test_jacobian_ideal_with_nonzero_normal_forms(self):
+        # J_f = (3x^2 + y^2, xy, 3u^2 - v^2, uv): unlike the monomial ideals
+        # above, reducing x^2 leaves -y^2/3 behind
+        ctx = ring("x", "y", "u", "v")
+        self._check(
+            tensor(mf_1x1(ctx, "x", "x^2 + y^2"), mf_1x1(ctx, "u", "u^2 - v^2")),
+            seeds=(5, 6),
+        )
+
+    @pytest.mark.parametrize("names, f", [("xyz", "x*y"), ("xy", "0"), ("", "0")])
+    def test_other_potentials_take_the_chains(self, names, f):
+        ctx = ring(*names)
+        M = mf_1x1(ctx, "x", "y") if f != "0" else mf_unit(ctx)
+        assert chern._jacobian_normal_forms(M.f) is None
+        assert chern_character(M).entries == _chain_character(M).entries
 
 
 class TestAdditivity:

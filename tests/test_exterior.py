@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -404,8 +405,10 @@ class TestWedgeKernelOracle:
 
     @pytest.mark.parametrize("top", range(7))
     def test_power_traces(self, top):
-        # the half-length chain against traces of a plain running product
-        from mfchern.chern import _power_traces
+        # the half-length chain and the top trace of the Jacobian kernel
+        # (with a memo that reduces no monomial) against traces of a plain
+        # running product
+        from mfchern.chern import _power_traces, _top_trace
 
         rng = random.Random(200 + top)
         for size in (1, 2, 3, 4):
@@ -415,3 +418,5 @@ class TestWedgeKernelOracle:
                 want.append(_ref_sum(CTX4, [power.entries[i][i] for i in range(size)]))
                 power = FormMatrix(CTX4, size, size, _ref_mul(power, X))
             assert _power_traces(X, top) == want
+            if top:
+                assert _top_trace(X, top, defaultdict(lambda: None)) == want[-1]
