@@ -246,91 +246,77 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
 
         str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
 
-    while odd powers have zero diagonal blocks and are never formed.  One of
-    two kernels computes the traces; both re-verify the graded cyclicity of
-    the trace for matrices of 1-forms, tr(Y^i) = -tr(X^i), and raise
-    InternalConsistencyError if it fails: that means the library is broken,
-    not the input.
-
+    while odd powers have zero diagonal blocks and are never formed.  The
+    traces come from half-length power chains (:func:`_power_traces`).
     When n > 0 and the Jacobian ring Q[x]/J_f is finite-dimensional (an
     isolated singularity), (Omega^*, df^) is exact below degree n, so every
-    lower class is zero and is not formed.  J_f.Omega^* is an ideal of the
-    exterior algebra and J_f.Omega^n = df^Omega^(n-1), so the top class may
-    be computed with every coefficient reduced mod J_f
-    (:func:`_jacobian_cycles`); its check is read mod J_f, and its cycle
-    condition holds by degree.  Every other f takes the power chains of
-    :func:`_chain_cycles`, which also re-verify the cycle condition
-    df ^ str(At^(2i)) = 0 in every degree.  The dense path (atiyah_power,
-    supertrace) stays public as the independent oracle for both kernels.
+    lower class is zero and only tr(X^(n/2)), tr(Y^(n/2)) are formed (none
+    for odd n).  J_f.Omega^* is an ideal of the exterior algebra and
+    J_f.Omega^n = df^Omega^(n-1), so there every product is reduced mod
+    J_f.  Every other f forms every degree up to n, unreduced.
+
+    Each formed degree re-verifies the graded cyclicity of the trace for
+    matrices of 1-forms, tr(Y^i) = -tr(X^i) (mod J_f when reduced), and the
+    cycle condition df ^ str(At^(2i)) = 0, and raises
+    InternalConsistencyError if either fails: that means the library is
+    broken, not the input.  The dense path (atiyah_power, supertrace) stays
+    public as the independent oracle.
     """
     at = atiyah(M, conn or connection_default(M))
-    nf = _jacobian_normal_forms(M.f)
-    cycles = _chain_cycles(at) if nf is None else _jacobian_cycles(at, nf)
-    return HomologyClass(M.f, M.ctx.nvars, cycles)
+    return HomologyClass(M.f, M.ctx.nvars, _cycles(at, _jacobian_normal_forms(M.f)))
 
 
-def _chain_cycles(at: AtiyahClass) -> dict:
-    """{2i: str(At^(2i)) / (2i)!} for 2i <= n from the half-length power
-    chains of X and Y (:func:`_power_traces`); valid for every f."""
+def _cycles(at: AtiyahClass, nf) -> dict:
+    """{2i: str(At^(2i)) / (2i)!} for 2i <= n.  ``nf`` is the monomial memo
+    of ``ideals._jacobian_normal_forms``: when set, only degree n is formed
+    (for even n), with every product reduced, and lower degrees are zero."""
     M = at.base
     ctx = M.ctx
     n = ctx.nvars
-    a, b = at.block01, at.block10
     half = n // 2
-    tr_x = _power_traces(fm_mul(a, b), half)
-    tr_y = _power_traces(fm_mul(b, a), half)
-    df = df_form(M.f)
-    strs = [Form.from_poly(Poly.const(ctx, M.r0 - M.r1))]
-    for i, (tx, ty) in enumerate(zip(tr_x, tr_y), start=1):
-        if not (tx + ty).is_zero():
-            raise InternalConsistencyError(f"tr(Y^{i}) != -tr(X^{i})")
-        strs.append(tx - ty)
-    cycles = {}
-    for i, s in zip(range(0, n + 1, 2), strs):
-        if not wedge(df, s).is_zero():
-            raise InternalConsistencyError(f"df ^ str(At^{i}) != 0")
-        cycles[i] = s.scale(Fraction(1, math.factorial(i)))
-    return cycles
-
-
-def _jacobian_cycles(at: AtiyahClass, nf) -> dict:
-    """The cycles of :func:`_chain_cycles` for an f whose Jacobian ring is
-    finite-dimensional, ``nf`` its monomial memo from
-    ``ideals._jacobian_normal_forms``: r0 - r1, zero below degree n, and
-    (tr(X^m) - tr(Y^m)) / n! in degree n = 2m with every product reduced
-    mod J_f; no chain at all when n is odd."""
-    M = at.base
-    ctx = M.ctx
-    n = ctx.nvars
-    cycles = dict.fromkeys(range(2, n, 2), Form.zero(ctx))
-    cycles[0] = Form.from_poly(Poly.const(ctx, M.r0 - M.r1))
-    if n % 2 == 0:
-        m = n // 2
-        a, b = at.block01, at.block10
-        tx = _top_trace(_reduced(fm_mul(a, b), nf), m, nf)
-        ty = _top_trace(_reduced(fm_mul(b, a), nf), m, nf)
+    if nf is None:
+        wanted = range(1, half + 1)
+    else:
+        wanted = [half] if n % 2 == 0 else []
+    a, b = at.block01, at.block10
+    tr_x = _power_traces(a, b, wanted, nf)
+    tr_y = _power_traces(b, a, wanted, nf)
+    strs = {0: Form.from_poly(Poly.const(ctx, M.r0 - M.r1))}
+    for i, tx, ty in zip(wanted, tr_x, tr_y):
         if not _reduced_form(tx + ty, nf).is_zero():
-            raise InternalConsistencyError(f"tr(Y^{m}) != -tr(X^{m})")
-        cycles[n] = (tx - ty).scale(Fraction(1, math.factorial(n)))
+            raise InternalConsistencyError(f"tr(Y^{i}) != -tr(X^{i})")
+        strs[2 * i] = tx - ty
+    df = df_form(M.f)
+    cycles = dict.fromkeys(range(2, n + 1, 2), Form.zero(ctx))
+    for d, s in strs.items():
+        if not wedge(df, s).is_zero():
+            raise InternalConsistencyError(f"df ^ str(At^{d}) != 0")
+        cycles[d] = s.scale(Fraction(1, math.factorial(d)))
     return cycles
 
 
-def _top_trace(X: FormMatrix, m: int, nf) -> Form:
-    """tr(X^m), m >= 1, from the reduced powers X^k with k <= h = ceil(m/2)
-    and the diagonal of X^h.X^(m-h)."""
-    h = (m + 1) // 2
-    powers = [X]  # powers[k - 1] = X^k
+def _power_traces(S: FormMatrix, T: FormMatrix, wanted, nf) -> list:
+    """[tr(X^i) for i in wanted], X = S.T, with every power reduced by the
+    memo ``nf``.  Only the powers X^k with k <= h = ceil(max(wanted)/2) are
+    formed, none when nothing is wanted; tr(X^i) for i > h comes from the
+    diagonal of X^h.X^(i-h) alone."""
+    if not wanted:
+        return []
+    h = (max(wanted) + 1) // 2
+    powers = [_reduced(fm_mul(S, T), nf)]  # powers[k - 1] = X^k
     while len(powers) < h:
-        powers.append(_reduced(fm_mul(powers[-1], X), nf))
-    if m == h:
-        return graded_trace(X)
-    return _trace_of_product(powers[-1], powers[m - h - 1])
+        powers.append(_reduced(fm_mul(powers[-1], powers[0]), nf))
+    return [
+        graded_trace(powers[i - 1]) if i <= h
+        else _trace_of_product(powers[-1], powers[i - h - 1])
+        for i in wanted
+    ]
 
 
 def _reduced(P: FormMatrix, nf) -> FormMatrix:
     """P with every coefficient reduced by the monomial memo ``nf``; P
-    itself when none of its monomials reduces."""
-    if all(
+    itself when there is no memo or none of its monomials reduces."""
+    if nf is None or all(
         nf[mono] is None
         for row in P.entries for w in row for p in w.components.values()
         for mono in p.terms
@@ -340,7 +326,10 @@ def _reduced(P: FormMatrix, nf) -> FormMatrix:
 
 
 def _reduced_form(w: Form, nf) -> Form:
-    """w with every coefficient reduced by the monomial memo ``nf``."""
+    """w with every coefficient reduced by the monomial memo ``nf``; w
+    itself when there is no memo."""
+    if nf is None:
+        return w
     out = {}
     for idx, p in w.components.items():
         acc = {}
@@ -350,19 +339,6 @@ def _reduced_form(w: Form, nf) -> Form:
                 acc[u] = acc[u] + c * d if u in acc else c * d
         out[idx] = Poly._trusted(w.ctx, acc)
     return Form._trusted(w.ctx, out)
-
-
-def _power_traces(X: FormMatrix, top: int) -> list:
-    """[tr(X^1), ..., tr(X^top)].  Only the powers X^k with k <= h =
-    ceil(top/2) are formed; tr(X^(h+j)) = tr(X^h.X^j) for j = 1..top-h
-    comes from the diagonal of that product alone."""
-    h = (top + 1) // 2
-    powers = [X] if top else []  # powers[k - 1] = X^k
-    while len(powers) < h:
-        powers.append(fm_mul(powers[-1], X))
-    return [graded_trace(P) for P in powers] + [
-        _trace_of_product(powers[-1], powers[j - 1]) for j in range(1, top - h + 1)
-    ]
 
 
 def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:

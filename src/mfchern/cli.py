@@ -225,7 +225,8 @@ def ringmap_from_doc(d: _Doc) -> RingMap:
 
 
 def connection_from_doc(d: _Doc, M: MatFac) -> Connection:
-    d = _Doc({"gamma0": [], "gamma1": [], **d.doc}, d.path)  # both may be omitted
+    # an omitted gamma reads as no rows, which fits only a piece of rank 0
+    d = _Doc({"gamma0": [], "gamma1": [], **d.doc}, d.path)
     g0 = d.matrix("gamma0", M.r0, M.r0, parse_form, M.ctx, FormMatrix)
     g1 = d.matrix("gamma1", M.r1, M.r1, parse_form, M.ctx, FormMatrix)
     return d.call("'gamma0'/'gamma1'", Connection, M, g0, g1)

@@ -505,7 +505,10 @@ class _PolyParser:
         """The whole input as its top-level terms ``(coefficient, chain)``:
         ``chain`` lists the variable indices of the term's differentials in
         the order written, and is empty unless ``forms``."""
-        terms = self.terms(forms)
+        try:
+            terms = self.terms(forms)
+        except RecursionError:
+            raise ParseError("parentheses nested too deeply") from None
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
         return terms

@@ -296,9 +296,9 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("names, isolated", [("xy", True), ("xyz", False)])
     def test_trace_identity_check_fires(self, names, isolated, monkeypatch):
-        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly, in
-        # the Jacobian kernel (x*y over x, y) and in the power chains (x*y
-        # over x, y, z, whose Jacobian ring is infinite-dimensional)
+        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly, with
+        # products reduced mod J_f (x*y over x, y) and unreduced (x*y over
+        # x, y, z, whose Jacobian ring is infinite-dimensional)
         M = mf_1x1(ring(*names), "x", "y")
         assert (chern._jacobian_normal_forms(M.f) is not None) == isolated
         b = atiyah(M, connection_default(M)).block10
@@ -314,14 +314,25 @@ class TestDenseOracle:
 
 
 def _chain_character(M, conn=None):
-    """ch through the power chains, the kernel of every f whose Jacobian
-    ring is infinite-dimensional."""
+    """ch from every degree's unreduced power chains, the mode of every f
+    whose Jacobian ring is infinite-dimensional."""
     at = atiyah(M, conn or connection_default(M))
-    return HomologyClass(M.f, M.ctx.nvars, chern._chain_cycles(at))
+    return HomologyClass(M.f, M.ctx.nvars, chern._cycles(at, None))
+
+
+def _products_past_atiyah(M, conn, monkeypatch):
+    """The fm_mul calls of chern_character(M, conn) beyond those of atiyah."""
+    calls = []
+    monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+    atiyah(M, conn)
+    in_atiyah = len(calls)
+    chern_character(M, conn)
+    return len(calls) - 2 * in_atiyah
 
 
 class TestJacobianKernel:
-    """The Jacobian kernel of chern_character against the power chains."""
+    """chern_character, which reduces mod J_f when the Jacobian ring is
+    finite-dimensional, against the unreduced chains of every degree."""
 
     def _check(self, M, seeds=(5,)):
         assert chern._jacobian_normal_forms(M.f) is not None
@@ -349,12 +360,8 @@ class TestJacobianKernel:
         M = threevar_example
         self._check(M)
         conn = random_connection(M, random.Random(3))
-        calls = []
-        monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
-        atiyah(M, conn)
-        in_atiyah = len(calls)
+        assert _products_past_atiyah(M, conn, monkeypatch) == 0
         ch = chern_character(M, conn)
-        assert len(calls) == 2 * in_atiyah  # no product past the Atiyah class
         assert [d for d, _ in ch.entries] == [0, 2]
         assert ch.component(2).is_zero()
 
@@ -390,6 +397,28 @@ class TestJacobianKernel:
         M = mf_1x1(ctx, "x", "y") if f != "0" else mf_unit(ctx)
         assert chern._jacobian_normal_forms(M.f) is None
         assert chern_character(M).entries == _chain_character(M).entries
+
+    def test_no_variables_forms_no_chain(self, monkeypatch):
+        M = mf_unit(ring())
+        assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 0
+
+    def test_cycle_check_fires(self, monkeypatch):
+        # a 2-form eta added to tr(X) and taken from tr(Y) keeps
+        # tr(Y) = -tr(X), but str(At^2) is then no cycle, since df ^ eta != 0
+        M = mf_1x1(ring("x", "y", "z"), "x", "y")
+        assert chern._jacobian_normal_forms(M.f) is None
+        eta = parse_form("dx^dz", M.ctx)
+        assert not wedge(df_form(M.f), eta).is_zero()
+        a = atiyah(M, connection_default(M)).block01
+        real = chern._power_traces
+
+        def skewed(S, T, wanted, nf):
+            shift = eta if S == a else -eta
+            return [t + shift for t in real(S, T, wanted, nf)]
+
+        monkeypatch.setattr(chern, "_power_traces", skewed)
+        with pytest.raises(InternalConsistencyError, match="df \\^ str"):
+            chern_character(M)
 
 
 class TestAdditivity:

@@ -191,6 +191,12 @@ class TestDocumentErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "330-term and a 330-term factor" in err
 
+    def test_parentheses_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        doc = {**KOSZUL, "A": [["(" * 3000 + "x" + ")" * 3000]]}
+        code, err = self.run(tmp_path, capsys, doc)
+        assert code == cli.EXIT_USAGE
+        assert "'A'[0][0]: parentheses nested too deeply" in err
+
     def test_large_power_of_a_monomial_still_parses(self, tmp_path, capsys):
         doc = {"vars": ["x", "y"], "f": "(x*y)^2 * x^398", "A": [["x^400"]], "B": [["y^2"]]}
         assert main(["validate", write(tmp_path, "m.json", doc)]) == 0
@@ -455,6 +461,12 @@ class TestNormalForm:
     def test_parse_error_is_usage(self, capsys):
         assert main(["nf", "--potential", "x*(", "--form", "dx",
                      "--vars", "x"]) == 2
+
+    def test_parentheses_nested_past_the_recursion_limit(self, capsys):
+        form = "(" * 5000 + "x" + ")" * 5000 + "*dx"
+        assert main(["nf", "--potential", "x*y", "--form", form]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "parentheses nested too deeply" in err
 
     @pytest.mark.parametrize("form", ["x+", "", "x dx", "dx @ dy"])
     @pytest.mark.parametrize("given_vars", [[], ["--vars", "x", "y"]], ids=["inferred", "given"])

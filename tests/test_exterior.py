@@ -405,18 +405,19 @@ class TestWedgeKernelOracle:
 
     @pytest.mark.parametrize("top", range(7))
     def test_power_traces(self, top):
-        # the half-length chain and the top trace of the Jacobian kernel
-        # (with a memo that reduces no monomial) against traces of a plain
-        # running product
-        from mfchern.chern import _power_traces, _top_trace
+        # the one chain helper, X = S.T with T the identity, against traces
+        # of a plain running product: every trace 1..top unreduced, and the
+        # top trace alone with a memo that reduces no monomial
+        from mfchern.chern import _power_traces
 
         rng = random.Random(200 + top)
         for size in (1, 2, 3, 4):
             X = _rational_matrix(rng, size, size)
+            I = FormMatrix.identity(CTX4, size)
             want, power = [], X
             for _ in range(top):
                 want.append(_ref_sum(CTX4, [power.entries[i][i] for i in range(size)]))
                 power = FormMatrix(CTX4, size, size, _ref_mul(power, X))
-            assert _power_traces(X, top) == want
+            assert _power_traces(X, I, range(1, top + 1), None) == want
             if top:
-                assert _top_trace(X, top, defaultdict(lambda: None)) == want[-1]
+                assert _power_traces(X, I, [top], defaultdict(lambda: None)) == want[-1:]

@@ -47,8 +47,8 @@ def test_printed_chern_characters_match_pins():
 
 def test_printed_tower_chern_characters_match_pins():
     """The printed ch of every 10th n = 8 tower of the ``chern_koszul`` pool,
-    in pool order: the Jacobian kernel of ``chern_character`` byte for
-    byte, without the seconds that all 160 towers take."""
+    in pool order: the reduced mode of ``chern_character`` byte for byte,
+    without the seconds that all 160 towers take."""
     towers = [spec for spec in WORKLOADS["chern_koszul"].pool() if spec["r"] is None]
     specs = towers[::10]
     assert len(specs) == 16 and {spec["m"] for spec in specs} == {4}

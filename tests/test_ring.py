@@ -100,6 +100,12 @@ class TestParsing:
                                              "expand to 16 terms"):
             parse_poly("(x+y+z)^2*(x+y+z+1)", CTX)
 
+    def test_nesting_depth(self):
+        nested = lambda k: "(" * k + "x" + ")" * k
+        assert parse_poly(nested(100), CTX) == parse_poly("x", CTX)
+        with pytest.raises(ParseError, match="parentheses nested too deeply"):
+            parse_poly(nested(3000), CTX)
+
     def test_integer_literal_past_the_digit_limit(self):
         with pytest.raises(ParseError, match="position 4 has 5000 digits"):
             parse_poly("x + " + "1" * 5000, CTX)
