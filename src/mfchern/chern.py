@@ -5,7 +5,8 @@ with Gamma a matrix of 1-forms per graded piece.  The Atiyah class is the
 commutator of the chosen connection with the twisted differential; its
 wedge-matrix powers feed the supertrace, and the Chern character is the
 collection of normal forms of (1/(2i)!) str(At^(2i)) in the homology of
-the complex (Omega^*, df^).
+the complex (Omega^*, df^).  The identity checks, and ``CHECK_SUITES``,
+the table of suites that drive them, live here too.
 """
 from __future__ import annotations
 
@@ -23,7 +24,15 @@ from .exterior import (
     wedge,
 )
 from .ideals import _jacobian_normal_forms, df_form, form_normal_form
-from .mf import MatFac, PolyMatrix, StrictMorphism, cone, tensor
+from .mf import (
+    MatFac,
+    PolyMatrix,
+    StrictMorphism,
+    cone,
+    identity_morphism,
+    mf_unit,
+    tensor,
+)
 from .ring import Frozen, Poly, RingCtx, RingError
 
 
@@ -602,3 +611,86 @@ def phi_tower_oracle(M: MatFac, conn: Connection = None, n: int = None,
                 acc[order] = acc[order] + c if order in acc else c
             grid[a][b] = grid[a][b] + Form(ctx, acc)
     return FormMatrix(ctx, r, r, grid)
+
+
+# ---------------------------------------------------------------------------
+# the check suites
+# ---------------------------------------------------------------------------
+# Each suite(M, rng, partner) returns None on a pass and the reason on a
+# failure; rng draws its random connections and base changes, and partner,
+# when given, is the second tensor factor of multiplicativity.  The suites
+# reach the checks through this module's globals at call time, so a check
+# rebound here (by a tracer or a test) is the one that runs.
+
+def _suite_strictness(M, rng, partner):
+    ok, why = phi_strictness_check(M)
+    if ok:
+        ok, why = phi_strictness_check(M, random_connection(M, rng))
+    return None if ok else why
+
+
+def _suite_cycle(M, rng, partner):
+    at = atiyah(M, connection_default(M))
+    df = df_form(M.f)
+    for i, power in enumerate(atiyah_powers(at, M.ctx.nvars)):
+        if not wedge(df, supertrace(power, M.r0, M.r1)).is_zero():
+            return f"df ^ str(At^{i}) != 0"
+    return None
+
+
+def _suite_odd(M, rng, partner):
+    at = atiyah(M, connection_default(M))
+    n = M.ctx.nvars
+    # supertraces of the odd powers alone, up to the largest odd i <= n
+    for i, power in enumerate(atiyah_powers(at, n - 1 + n % 2)):
+        if i % 2 and not supertrace(power, M.r0, M.r1).is_zero():
+            return f"str(At^{i}) != 0"
+    return None
+
+
+def _suite_additivity(M, rng, partner):
+    ok = cone_additivity_check(identity_morphism(M))
+    return None if ok else "additivity fails for the identity endomorphism"
+
+
+def _suite_multiplicativity(M, rng, partner):
+    ok = tensor_multiplicativity_check(M, partner or mf_unit(M.ctx))
+    return None if ok else "ch(E (x) F) != ch(E) ch(F)"
+
+
+def _suite_functoriality(M, rng, partner):
+    ctx = M.ctx
+    n = ctx.nvars
+    # random invertible linear substitution (unit upper times unit lower)
+    xs = [Poly.variable(ctx, i) for i in range(n)]
+    images = list(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            images[i] = images[i] + rng.randint(-2, 2) * xs[j]
+    for i in range(n - 1, -1, -1):
+        for j in range(i):
+            images[i] = images[i] + rng.randint(-2, 2) * images[j]
+    ok = functoriality_check(M, RingMap(ctx, ctx, tuple(images)))
+    return None if ok else "pushforward does not commute with ch"
+
+
+def _suite_tower(M, rng, partner):
+    n = M.ctx.nvars
+    if n > 3:  # the oracle walks 2^n tensor words and refuses n > 3
+        return None
+    conn = random_connection(M, rng)
+    ok = phi_tower_oracle(M, conn, n) == phi_tilde_n(M, conn, n)
+    return None if ok else "tower oracle disagrees with the closed form"
+
+
+# the suites of `mfchern check` and scripts/verify_identities.py, in the
+# order of `--suite all`
+CHECK_SUITES = {
+    "strictness": _suite_strictness,
+    "cycle": _suite_cycle,
+    "odd": _suite_odd,
+    "additivity": _suite_additivity,
+    "multiplicativity": _suite_multiplicativity,
+    "functoriality": _suite_functoriality,
+    "tower": _suite_tower,
+}

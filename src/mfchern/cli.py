@@ -11,6 +11,10 @@ single A/B pair (an endomorphism) or explicit "source"/"target" objects.
 Complex documents carry "min_degree", "ranks" and "differentials"; ring map
 documents carry "source_vars", "target_vars" and "images".
 
+``check`` runs the suites of ``chern.CHECK_SUITES``, each with a fresh
+``random.Random(seed)``, and prints one pass or FAIL line per document and
+suite; the suites themselves live in ``chern`` beside the checks they drive.
+
 Exit codes: 0 success or pass; 1 a mathematical verification failed
 (ValidationError, or a check suite reporting FAIL) and nothing else; 2 the
 inputs are malformed or do not fit together (usage, an unreadable or
@@ -26,26 +30,16 @@ import random
 import sys
 
 from .chern import (
+    CHECK_SUITES,
     Connection,
     InternalConsistencyError,
-    atiyah,
-    atiyah_powers,
-    chern_character,
-    cone_additivity_check,
-    connection_default,
-    embed,
-    functoriality_check,
-    phi_strictness_check,
-    phi_tilde_n,
-    phi_tower_oracle,
-    pushforward,
-    random_connection,
-    supertrace,
-    tensor_multiplicativity_check,
     RingMap,
+    chern_character,
+    embed,
+    pushforward,
 )
-from .exterior import FormMatrix, parse_form, print_form, wedge
-from .ideals import df_form, form_normal_form
+from .exterior import FormMatrix, parse_form, print_form
+from .ideals import form_normal_form
 from .mf import (
     ChainComplex,
     MatFac,
@@ -54,13 +48,10 @@ from .mf import (
     ValidationError,
     cone,
     fold_complex,
-    identity_morphism,
-    mf_unit,
     shift,
     tensor,
 )
 from .ring import (
-    Poly,
     RingCtx,
     RingError,
     _differential,
@@ -237,8 +228,11 @@ def _write_doc(doc, out):
     if out == "-" or out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DocumentError(f"cannot write {out}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -340,90 +334,6 @@ def _infer_ctx(vars_opt, potential, form) -> RingCtx:
     return RingCtx(tuple(seen))
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_strictness(M, rng):
-    ok, why = phi_strictness_check(M)
-    if not ok:
-        return False, why
-    ok, why = phi_strictness_check(M, random_connection(M, rng))
-    return ok, why
-
-
-def _suite_odd(M, rng):
-    at = atiyah(M, connection_default(M))
-    n = M.ctx.nvars
-    top = n - 1 + n % 2  # the largest odd i <= n
-    for i, power in enumerate(atiyah_powers(at, top)):
-        if i % 2 and not supertrace(power, M.r0, M.r1).is_zero():
-            return False, f"str(At^{i}) != 0"
-    return True, "ok"
-
-
-def _suite_cycle(M, rng):
-    at = atiyah(M, connection_default(M))
-    df = df_form(M.f)
-    for i, power in enumerate(atiyah_powers(at, M.ctx.nvars)):
-        if not wedge(df, supertrace(power, M.r0, M.r1)).is_zero():
-            return False, f"df ^ str(At^{i}) != 0"
-    return True, "ok"
-
-
-def _suite_additivity(M, rng):
-    theta = identity_morphism(M)
-    if not cone_additivity_check(theta):
-        return False, "additivity fails for the identity endomorphism"
-    return True, "ok"
-
-
-def _suite_multiplicativity(M, rng, other=None):
-    other = other or mf_unit(M.ctx)
-    if not tensor_multiplicativity_check(M, other):
-        return False, "ch(E (x) F) != ch(E) ch(F)"
-    return True, "ok"
-
-
-def _suite_functoriality(M, rng):
-    ctx = M.ctx
-    n = ctx.nvars
-    # random invertible linear substitution (unit upper times unit lower)
-    xs = [Poly.variable(ctx, i) for i in range(n)]
-    images = list(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            images[i] = images[i] + rng.randint(-2, 2) * xs[j]
-    for i in range(n - 1, -1, -1):
-        for j in range(i):
-            images[i] = images[i] + rng.randint(-2, 2) * images[j]
-    phi = RingMap(ctx, ctx, tuple(images))
-    if not functoriality_check(M, phi):
-        return False, "pushforward does not commute with ch"
-    return True, "ok"
-
-
-def _suite_tower(M, rng):
-    n = M.ctx.nvars
-    if n > 3:
-        return True, "skipped (needs <= 3 variables)"
-    conn = random_connection(M, rng)
-    if phi_tower_oracle(M, conn, n) != phi_tilde_n(M, conn, n):
-        return False, "tower oracle disagrees with the closed form"
-    return True, "ok"
-
-
-_SUITES = {
-    "strictness": _suite_strictness,
-    "cycle": _suite_cycle,
-    "odd": _suite_odd,
-    "additivity": _suite_additivity,
-    "multiplicativity": _suite_multiplicativity,
-    "functoriality": _suite_functoriality,
-    "tower": _suite_tower,
-}
-
-
 def cmd_check(args) -> int:
     import os
 
@@ -439,10 +349,13 @@ def cmd_check(args) -> int:
             paths.append(p)
     if not paths:
         raise DocumentError("no input documents")
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = list(CHECK_SUITES) if args.suite == "all" else [args.suite]
     print(f"# mfchern check  seed={args.seed}")
     failed = False
-    if args.suite == "multiplicativity" and len(paths) == 2:
+    # two files named on the command line are the two tensor factors; the
+    # documents of a directory are never paired
+    if (args.suite == "multiplicativity" and len(args.files) == 2
+            and not any(os.path.isdir(p) for p in args.files)):
         pairs = [(paths[0], paths[1])]
     else:
         pairs = [(p, None) for p in paths]
@@ -450,14 +363,9 @@ def cmd_check(args) -> int:
         M = matfac_from_doc(_load(path))
         other = matfac_from_doc(_load(partner)) if partner else None
         for name in suites:
-            rng = random.Random(args.seed)
-            if name == "multiplicativity":
-                ok, why = _suite_multiplicativity(M, rng, other)
-            else:
-                ok, why = _SUITES[name](M, rng)
-            status = "pass" if ok else f"FAIL ({why})"
-            print(f"{path}: {name}: {status}")
-            failed = failed or not ok
+            why = CHECK_SUITES[name](M, random.Random(args.seed), other)
+            print(f"{path}: {name}: {'pass' if why is None else f'FAIL ({why})'}")
+            failed = failed or why is not None
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -497,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = command("check", cmd_check, "run verification suites")
     s.add_argument("files", nargs="+")
-    s.add_argument("--suite", default="all", choices=["all"] + sorted(_SUITES))
+    s.add_argument("--suite", default="all", choices=["all"] + sorted(CHECK_SUITES))
     s.add_argument("--seed", type=int, default=0)
 
     s = command("nf", cmd_nf, "normal form modulo the df-wedge image")

@@ -375,6 +375,19 @@ class TestTransforms:
         assert doc["A"] == [["x + y"]]
         assert doc["B"] == [["y"]]
 
+    @pytest.mark.parametrize("argv", [
+        ["tensor", "{k}", "{k}"], ["cone", "{mor}"], ["shift", "{k}"], ["fold", "{c}"],
+        ["pushforward", "{k}", "{r}"], ["embed", "{k}", "--vars", "x", "y", "z"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_is_usage(self, tmp_path, capsys, argv, target):
+        docs = {"k": KOSZUL, "mor": MORPHISM, "c": COMPLEX, "r": RING_MAP}
+        paths = {name: write(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+        out = str(tmp_path / target)
+        code = main([a.format(**paths) for a in argv] + ["-o", out])
+        assert code == cli.EXIT_USAGE
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
     def test_embed(self, tmp_path):
         a = write(tmp_path, "a.json", KOSZUL)
         out = str(tmp_path / "e.json")
@@ -423,18 +436,38 @@ class TestCheck:
         path = write(tmp_path, "m.json", doc)
         assert main(["check", path, "--suite", "functoriality"]) == cli.EXIT_OK
 
+    def test_directory_is_never_paired(self, tmp_path, capsys):
+        # two documents over different rings, which no tensor product pairs
+        write(tmp_path, "a.json", KOSZUL)
+        write(tmp_path, "b.json", THREEVAR)
+        assert main(["check", str(tmp_path), "--suite", "multiplicativity"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == [f"{tmp_path / name}: multiplicativity: pass"
+                         for name in ("a.json", "b.json")]
+
+    def test_failing_suite_prints_its_reason(self, tmp_path, capsys, monkeypatch):
+        # the suites look the checks up in chern when they run
+        monkeypatch.setattr(chern, "cone_additivity_check", lambda theta: False)
+        path = write(tmp_path, "m.json", KOSZUL)
+        assert main(["check", path, "--suite", "additivity"]) == cli.EXIT_FAIL
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{path}: additivity: FAIL (additivity fails for the identity endomorphism)"
+        ]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_suites_take_one_product_a_power(self, n, monkeypatch):
-        # atiyah takes four products; then odd climbs to the largest odd
-        # power <= n, and cycle to the n-th
+        # past atiyah, odd climbs to the largest odd power <= n, and cycle
+        # to the n-th
         vs = ("x", "y", "z", "w")[:n]
         M = mf_1x1(ring(*vs), "x", "*".join(vs))
         calls = []
         monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        chern.atiyah(M, chern.connection_default(M))
+        in_atiyah = len(calls)
         for suite, products in (("odd", n - 1 + n % 2), ("cycle", n)):
             calls.clear()
-            assert cli._SUITES[suite](M, None) == (True, "ok")
-            assert len(calls) == 4 + products
+            assert chern.CHECK_SUITES[suite](M, None, None) is None
+            assert len(calls) - in_atiyah == products
 
     def test_deterministic_reports(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", KOSZUL)

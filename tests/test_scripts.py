@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from mfchern import CHECK_SUITES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -17,3 +19,12 @@ def test_script_exits_zero(script):
     assert proc.returncode == 0, proc.stderr
     if script == "verify_identities.py":
         assert "\n0 failure(s)" in proc.stdout
+        # one pass line per corpus entry and suite of the shared table, plus
+        # connection independence, which has no suite
+        lines = proc.stdout.splitlines()
+        labels = [line.split(": ch = ")[0] for line in lines if ": ch = " in line]
+        props = [*CHECK_SUITES, "connection independence"]
+        assert labels
+        assert [line for line in lines if line.endswith(": pass")] == [
+            f"{label}: {prop}: pass" for label in labels for prop in props
+        ]
