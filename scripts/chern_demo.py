@@ -4,8 +4,9 @@
 Usage: python scripts/chern_demo.py
 """
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mfchern import (
     MatFac,

@@ -12,8 +12,9 @@ random connections and base changes are tried.
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mfchern import (
     CHECK_SUITES,

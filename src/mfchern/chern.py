@@ -549,7 +549,9 @@ def phi_tower_oracle(M: MatFac, conn: Connection = None, n: int = None,
 
     Slots of the word record which stage contributed a 1-form; the stage
     maps are applied with the Koszul sign of an odd operator moving past
-    the word built so far.  Small n only: the tower has 2^n words.
+    the word built so far.  The identity map leaves a word as it is, and
+    a term whose slots would repeat an index is dead (dx ^ dx = 0), so the
+    At map never builds it.  Small n only: the tower has 2^n words.
     """
     ctx = M.ctx
     conn = conn or connection_default(M)
@@ -562,29 +564,19 @@ def phi_tower_oracle(M: MatFac, conn: Connection = None, n: int = None,
     # word bitmask -> {(row, col) -> {index tuple -> Poly}}
     comp = {0: {(i, i): {(): one} for i in range(r)}}
     for stage in range(n):
-        new = {}
+        new = dict(comp)
         for w, C in comp.items():
-            new.setdefault(w, {})
-            for key, tw in C.items():
-                dst = new[w].setdefault(key, {})
-                for tpl, p in tw.items():
-                    dst[tpl] = dst[tpl] + p if tpl in dst else p
             sign = -1 if bin(w).count("1") % 2 else 1
-            wb = w | (1 << stage)
-            dstmat = new.setdefault(wb, {})
+            dstmat = new[w | (1 << stage)] = {}
             for (a, b), tw in C.items():
                 for c in range(r):
-                    entry = at.entries[c][a]
-                    if entry.is_zero():
-                        continue
-                    for idx, q in entry.components.items():
-                        k = idx[0]
+                    for (k,), q in at.entries[c][a].components.items():
+                        q = q * sign
+                        dst = dstmat.setdefault((c, b), {})
                         for tpl, p in tw.items():
-                            coeff = p * q * sign
-                            key = (c, b)
-                            dst = dstmat.setdefault(key, {})
-                            t = tpl + (k,)
-                            dst[t] = dst[t] + coeff if t in dst else coeff
+                            if k not in tpl:
+                                t = tpl + (k,)
+                                dst[t] = dst[t] + p * q if t in dst else p * q
         comp = new
     # collapse tensor words by wedging slot forms in stage order
     z = Form.zero(ctx)
@@ -597,17 +589,10 @@ def phi_tower_oracle(M: MatFac, conn: Connection = None, n: int = None,
             factor = Fraction(math.factorial(n - m), math.factorial(n))
         for (a, b), tw in C.items():
             acc = {}
-            for tpl, p in tw.items():
-                if len(set(tpl)) != len(tpl):
-                    continue
+            for tpl, p in tw.items():  # m slots, one per At stage of w
+                inv = sum(tpl[i] > tpl[j] for i in range(m) for j in range(i + 1, m))
+                c = p * (-factor if inv % 2 else factor)
                 order = tuple(sorted(tpl))
-                inv = sum(
-                    1
-                    for i in range(len(tpl))
-                    for j in range(i + 1, len(tpl))
-                    if tpl[i] > tpl[j]
-                )
-                c = p * factor * (-1 if inv % 2 else 1)
                 acc[order] = acc[order] + c if order in acc else c
             grid[a][b] = grid[a][b] + Form(ctx, acc)
     return FormMatrix(ctx, r, r, grid)

@@ -520,12 +520,42 @@ class TestTowerOracle:
             assert phi_tower_oracle(M, conn, nvars) == phi_tilde_n(M, conn, nvars)
             count += 1
 
-    def test_unscaled_tower_differs_in_general(self, koszul_xy):
+    def test_unscaled_tower_differs_in_general(self, koszul_xy, threevar_example):
         # without the rescaling isomorphism the stage sum carries binomial
-        # weights instead of 1/i!; n = 2 separates them
-        M = koszul_xy
-        raw = phi_tower_oracle(M, None, 2, rescale=False)
-        assert raw != phi_tilde_n(M, None, 2)
+        # weights instead of 1/i!: the raw tower is sum_m C(n, m) At^m, and
+        # n = 2 already separates the two
+        cases = [
+            (koszul_xy, connection_default(koszul_xy)),
+            # 2x2 under a random connection: dead words and Koszul signs
+            (threevar_example, random_connection(threevar_example, random.Random(3))),
+        ]
+        for M, conn in cases:
+            n = M.ctx.nvars
+            raw = phi_tower_oracle(M, conn, n, rescale=False)
+            powers = atiyah_powers(atiyah(M, conn), n)
+            expected = next(powers)
+            for m, power in enumerate(powers, start=1):
+                expected = expected + power.scale(math.comb(n, m))
+            assert raw == expected
+            assert raw != phi_tilde_n(M, conn, n)
+
+    def test_takes_no_product_past_atiyah(self, threevar_example, monkeypatch):
+        # the oracle checks the closed form, so it must not share its wedge
+        # kernel: past atiyah it multiplies polynomials only
+        M = threevar_example
+        conn = random_connection(M, random.Random(0))
+        calls = []
+        monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        chern.atiyah(M, conn)
+        in_atiyah = len(calls)
+
+        def no_wedge(*args):
+            raise AssertionError("the tower oracle took a wedge")
+
+        monkeypatch.setattr(chern, "wedge", no_wedge)
+        calls.clear()
+        phi_tower_oracle(M, conn, 3)
+        assert len(calls) == in_atiyah
 
 
 class TestClassicalChernWeil:

@@ -445,14 +445,24 @@ class TestCheck:
         assert lines == [f"{tmp_path / name}: multiplicativity: pass"
                          for name in ("a.json", "b.json")]
 
-    def test_failing_suite_prints_its_reason(self, tmp_path, capsys, monkeypatch):
+    # suite -> (a check it calls, a wrong stand-in, the reason it prints)
+    FAILURES = {
+        "additivity": ("cone_additivity_check", lambda theta: False,
+                       "additivity fails for the identity endomorphism"),
+        # the unrescaled tower weights At^m by C(n, m) instead of 1/m!
+        "tower": ("phi_tilde_n",
+                  lambda M, conn, n: chern.phi_tower_oracle(M, conn, n, rescale=False),
+                  "tower oracle disagrees with the closed form"),
+    }
+
+    @pytest.mark.parametrize("suite", FAILURES)
+    def test_failing_suite_prints_its_reason(self, suite, tmp_path, capsys, monkeypatch):
         # the suites look the checks up in chern when they run
-        monkeypatch.setattr(chern, "cone_additivity_check", lambda theta: False)
+        check, wrong, reason = self.FAILURES[suite]
+        monkeypatch.setattr(chern, check, wrong)
         path = write(tmp_path, "m.json", KOSZUL)
-        assert main(["check", path, "--suite", "additivity"]) == cli.EXIT_FAIL
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            f"{path}: additivity: FAIL (additivity fails for the identity endomorphism)"
-        ]
+        assert main(["check", path, "--suite", suite]) == cli.EXIT_FAIL
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{path}: {suite}: FAIL ({reason})"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_suites_take_one_product_a_power(self, n, monkeypatch):

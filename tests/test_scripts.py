@@ -1,4 +1,5 @@
-"""The example scripts run from the repository root and exit cleanly."""
+"""The example scripts run from any directory and exit cleanly."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["chern_demo.py", "verify_identities.py"])
-def test_script_exits_zero(script):
+def test_script_exits_zero(script, tmp_path):
+    # away from the repository root and with no PYTHONPATH, the script has
+    # only its own path to find the package by
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     if script == "verify_identities.py":
