@@ -7,10 +7,11 @@ the shuffle sign; anything of degree above the variable count is zero.
 """
 from __future__ import annotations
 
-from operator import add
 from typing import Mapping
 
-from .ring import Frozen, Matrix, Poly, RingCtx, RingError, _PolyParser, print_poly
+from .ring import (
+    Frozen, Matrix, Poly, RingCtx, RingError, _PolyParser, monomial_mul, print_poly,
+)
 
 
 class Form(Frozen):
@@ -23,10 +24,14 @@ class Form(Frozen):
         acc = {}
         for idx, p in items:
             idx = tuple(idx)
+            if not all(isinstance(i, int) and 0 <= i < ctx.nvars for i in idx):
+                if all(isinstance(i, int) for i in idx):
+                    raise RingError("form index out of range")
+                raise RingError(f"index tuple {idx} holds a non-int")
             if list(idx) != sorted(set(idx)):
                 raise RingError(f"index tuple {idx} is not strictly increasing")
-            if any(not 0 <= i < ctx.nvars for i in idx):
-                raise RingError("form index out of range")
+            if not isinstance(p, Poly):
+                raise RingError(f"form coefficient {p!r} is not a Poly")
             if p.ctx != ctx:
                 raise RingError("form coefficient in wrong ring")
             if idx in acc:
@@ -113,7 +118,7 @@ class Form(Frozen):
 def wedge(a: Form, b: Form) -> Form:
     if a.ctx != b.ctx:
         raise RingError("mismatched ring contexts")
-    return _wedge_sums(a.ctx, ((a,),), ((b,),), [((0, 0),)])[0]
+    return _wedge_forms(a.ctx, ((a,),), ((b,),), [((0, 0),)])[0]
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -213,82 +218,113 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
         raise RingError(f"shape mismatch: {S.rows}x{S.cols} times {T.rows}x{T.cols}")
     cols = T.cols
     cells = [((i, j),) for i in range(S.rows) for j in range(cols)]
-    flat = _wedge_sums(S.ctx, S.entries, T.entries, cells)
+    flat = _wedge_forms(S.ctx, S.entries, T.entries, cells)
     return FormMatrix(
         S.ctx, S.rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(S.rows)]
     )
 
 
 # ---------------------------------------------------------------------------
-# the wedge-product kernel behind wedge, fm_mul and the trace of a product
+# the wedge-product kernel behind wedge, fm_mul, the trace of a product and
+# the Chern power chains
 # ---------------------------------------------------------------------------
 
-def _odd_shuffle(ma: int, ib: tuple) -> bool:
-    """Whether dx_A ^ dx_B = -dx_(A|B) for an index bitmask A and a disjoint
-    index tuple B: the parity of the pairs (a, b) in A x B with a > b."""
-    return sum(map(int.bit_count, map(ma.__rshift__, ib))) % 2 == 1
+def _odd_shuffle(ma: int, mb: int) -> bool:
+    """Whether dx_A ^ dx_B = -dx_(A|B) for disjoint index bitmasks A and B:
+    the parity of the pairs (a, b) in A x B with a > b."""
+    pairs = 0
+    while mb:
+        low = mb & -mb
+        pairs += (ma & -low).bit_count()  # the indices of A above this b
+        mb ^= low
+    return pairs % 2 == 1
 
 
-def _wedge_sums(ctx: RingCtx, S, T, cells) -> list:
-    """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j].
+def _index_tuple(m: int) -> tuple:
+    """The increasing index tuple of an index bitmask."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
-    S and T are grids (sequences of rows) of Forms of ``ctx`` with
-    len(S[i]) == len(T).  Each operand entry is flattened once into
-    (index bitmask, index tuple, terms) triples: index sets that overlap
-    (``ma & mb``) are skipped before anything is built, and the merged
-    index is ``ma | mb``.  Masks, shuffle signs (keyed by
-    ``ma << nvars | mb``), output index tuples and monomial products are
-    memoised for this call only.  Each output accumulates into one
-    ``{mask: {monomial: coeff}}`` dict that becomes a Form at the end.
-    Integral coefficients are stored as ints, so their products never
-    touch ``Fraction``.
+
+def _wedge_sums(nvars: int, S, T, cells, mul) -> list:
+    """One ``{mask: {monomial: coeff}}`` dict per cell: the sum over (i, j)
+    in the cell of (S.T)[i][j], in the flat form the kernel works on.
+
+    S and T are grids (sequences of rows) of flat entries with
+    len(S[i]) == len(T).  A flat entry lists the nonzero components of a
+    form as ``(index bitmask, ((monomial, coeff), ...))`` pairs, the empty
+    list for zero.  Index sets that overlap (``ma & mb``) are skipped before
+    anything is built, the merged index is ``ma | mb``, and the shuffle sign
+    is read from the two masks.  Shuffle signs (keyed by
+    ``ma << nvars | mb``) and monomial products are memoised for this call
+    only; ``mul`` multiplies two monomials on a memo miss, so monomials may
+    be exponent tuples or packed ints.  Coefficients are summed as they are,
+    so a dict may hold zeros and integral Fractions.
     """
-    nvars = ctx.nvars
-    masks, tuples, signs, monos = {}, {}, {}, {}
-
-    def flat(w: Form) -> list:
-        out = []
-        for idx, p in w.components.items():
-            if idx not in masks:
-                masks[idx] = sum(map((1).__lshift__, idx))
-            out.append((masks[idx], idx, tuple(p.terms.items())))
-        return out
-
-    tflat = [[flat(b) for b in row] for row in T]
-    nonzero = [[(flat(a), tb) for a, tb in zip(row, tflat) if a.components] for row in S]
+    signs, monos = {}, {}
+    nonzero = [[(a, tb) for a, tb in zip(row, T) if a] for row in S]
     out = []
     for cell in cells:
         acc = {}
         for i, j in cell:
             for a, trow in nonzero[i]:
                 b = trow[j]
-                for ma, ia, ta in a:
-                    for mb, ib, tb in b:
+                for ma, ta in a:
+                    for mb, tb in b:
                         if ma & mb:
                             continue
                         key = ma << nvars | mb
                         neg = signs.get(key)
                         if neg is None:
-                            neg = signs[key] = _odd_shuffle(ma, ib)
+                            neg = signs[key] = _odd_shuffle(ma, mb)
                         m = ma | mb
                         dst = acc.get(m)
                         if dst is None:
                             dst = acc[m] = {}
-                            if m not in tuples:
-                                tuples[m] = tuple(sorted(ia + ib))
                         for m1, c1 in ta:
                             for m2, c2 in tb:
-                                mk = (m1, m2)
-                                if mk in monos:
-                                    mono = monos[mk]
-                                else:
-                                    mono = monos[mk] = tuple(map(add, m1, m2))
+                                mono = monos.get((m1, m2))
+                                if mono is None:
+                                    mono = monos[m1, m2] = mul(m1, m2)
                                 c = -c1 * c2 if neg else c1 * c2
                                 dst[mono] = dst[mono] + c if mono in dst else c
-        out.append(Form._trusted(ctx, {
-            tuples[m]: Poly._trusted(ctx, terms) for m, terms in acc.items()
-        }))
+        out.append(acc)
     return out
+
+
+def _wedge_forms(ctx: RingCtx, S, T, cells) -> list:
+    """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j],
+    for grids S and T of Forms of ``ctx`` (see :func:`_wedge_sums`).
+
+    Each operand entry is flattened once, with exponent-tuple monomials;
+    integral coefficients are stored as ints, so their products never touch
+    ``Fraction``."""
+    nvars = ctx.nvars
+    masks = {}
+
+    def flat(w: Form) -> list:
+        out = []
+        for idx, p in w.components.items():
+            m = masks.get(idx)
+            if m is None:
+                m = masks[idx] = sum(map((1).__lshift__, idx))
+            out.append((m, tuple(p.terms.items())))
+        return out
+
+    sums = _wedge_sums(
+        nvars, [list(map(flat, row)) for row in S], [list(map(flat, row)) for row in T],
+        cells, monomial_mul,
+    )
+    return [
+        Form._trusted(ctx, {
+            _index_tuple(m): Poly._trusted(ctx, terms) for m, terms in acc.items()
+        })
+        for acc in sums
+    ]
 
 
 def fm_exterior_derivative(T: FormMatrix) -> FormMatrix:

@@ -193,8 +193,12 @@ class Poly(Frozen):
             m = tuple(m)
             if len(m) != ctx.nvars:
                 raise RingError("monomial length does not match variable count")
-            if any(e < 0 for e in m):
-                raise RingError("negative exponent in monomial")
+            if not all(isinstance(e, int) and e >= 0 for e in m):
+                if all(isinstance(e, int) for e in m):
+                    raise RingError("negative exponent in monomial")
+                raise RingError(f"exponent in monomial {m} is not an int")
+            if not isinstance(c, (int, Fraction)):
+                raise RingError(f"coefficient {c!r} is not an int or Fraction")
             acc[m] = acc.get(m, 0) + (c if type(c) is int else Fraction(c))
         super().__init__(ctx, _canonical(acc))
 

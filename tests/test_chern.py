@@ -302,15 +302,11 @@ class TestDenseOracle:
         M = mf_1x1(ring(*names), "x", "y")
         assert (chern._jacobian_normal_forms(M.f) is not None) == isolated
         b = atiyah(M, connection_default(M)).block10
-        real = chern.fm_mul
-
-        def skewed(S, T):
-            P = real(S, T)
-            return P.scale(2) if S == b else P
-
-        monkeypatch.setattr(chern, "fm_mul", skewed)
+        products = _chain_products(monkeypatch, skew=lambda S: S == b)
         with pytest.raises(InternalConsistencyError, match="tr\\(Y"):
             chern_character(M)
+        # one product per chain: the diagonals of At01.At10 and, skewed, At10.At01
+        assert len(products) == 2
 
 
 def _chain_character(M, conn=None):
@@ -320,14 +316,39 @@ def _chain_character(M, conn=None):
     return HomologyClass(M.f, M.ctx.nvars, chern._cycles(at, None))
 
 
+def _chain_products(monkeypatch, skew=lambda S: False):
+    """A list that gets one entry per product the power chains form, seen at
+    their own product step (``chern._wedge_sums``).  Every product of a
+    chain whose first block S satisfies ``skew`` comes out doubled."""
+    calls, block = [], [None]
+    real_chain, real_sums = chern._power_traces, chern._wedge_sums
+
+    def chain(S, T, *args):
+        block[0] = S
+        return real_chain(S, T, *args)
+
+    def sums(*args):
+        calls.append(1)
+        out = real_sums(*args)
+        if skew(block[0]):
+            out = [{m: {u: 2 * c for u, c in t.items()} for m, t in acc.items()} for acc in out]
+        return out
+
+    monkeypatch.setattr(chern, "_power_traces", chain)
+    monkeypatch.setattr(chern, "_wedge_sums", sums)
+    return calls
+
+
 def _products_past_atiyah(M, conn, monkeypatch):
-    """The fm_mul calls of chern_character(M, conn) beyond those of atiyah."""
+    """The products chern_character(M, conn) forms beyond those of atiyah:
+    its fm_mul calls past atiyah's, plus the products of the power chains."""
     calls = []
     monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
     atiyah(M, conn)
     in_atiyah = len(calls)
+    chain = _chain_products(monkeypatch)
     chern_character(M, conn)
-    return len(calls) - 2 * in_atiyah
+    return len(calls) - 2 * in_atiyah + len(chain)
 
 
 class TestJacobianKernel:
@@ -402,6 +423,11 @@ class TestJacobianKernel:
         M = mf_unit(ring())
         assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 0
 
+    def test_chain_products_are_counted(self, monkeypatch):
+        # n = 4, reduced: each chain forms X, then the diagonal of X.X
+        M = _koszul_tower(2)
+        assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 4
+
     def test_cycle_check_fires(self, monkeypatch):
         # a 2-form eta added to tr(X) and taken from tr(Y) keeps
         # tr(Y) = -tr(X), but str(At^2) is then no cycle, since df ^ eta != 0
@@ -412,9 +438,9 @@ class TestJacobianKernel:
         a = atiyah(M, connection_default(M)).block01
         real = chern._power_traces
 
-        def skewed(S, T, wanted, nf):
+        def skewed(S, T, *args):
             shift = eta if S == a else -eta
-            return [t + shift for t in real(S, T, wanted, nf)]
+            return [t + shift for t in real(S, T, *args)]
 
         monkeypatch.setattr(chern, "_power_traces", skewed)
         with pytest.raises(InternalConsistencyError, match="df \\^ str"):

@@ -18,6 +18,7 @@ from mfchern import (
     print_form,
     wedge,
 )
+from mfchern.ideals import _Memo
 from mfchern.ring import ParseError, RingError
 
 from conftest import polys, rand_poly, ring
@@ -177,6 +178,16 @@ class TestFormConstructorBoundary:
             Form(CTX, {(3,): Poly.one(CTX)})
         with pytest.raises(RingError, match="out of range"):
             Form(CTX, {(-1,): Poly.one(CTX)})
+
+    @pytest.mark.parametrize("coeff", [3, Fraction(1, 2), "x", None])
+    def test_rejects_a_coefficient_that_is_not_a_poly(self, coeff):
+        with pytest.raises(RingError, match="not a Poly"):
+            Form(CTX, {(0,): coeff})
+
+    @pytest.mark.parametrize("idx", [("a",), (0, "b"), (0.0,), (None,)])
+    def test_rejects_a_non_int_index(self, idx):
+        with pytest.raises(RingError, match="non-int"):
+            Form(CTX, {idx: Poly.one(CTX)})
 
     def test_rejects_coefficient_from_wrong_ring(self):
         other = ring("x", "y")
@@ -406,18 +417,117 @@ class TestWedgeKernelOracle:
     @pytest.mark.parametrize("top", range(7))
     def test_power_traces(self, top):
         # the one chain helper, X = S.T with T the identity, against traces
-        # of a plain running product: every trace 1..top unreduced, and the
-        # top trace alone with a memo that reduces no monomial
+        # of a plain running product: every trace 1..top unreduced; the top
+        # trace alone with a memo that reduces no monomial; every trace with
+        # a memo to the zero Poly and with one whose normal forms have
+        # Fraction coefficients, each trace reduced afterwards by the same
+        # memo; and over 12 variables, so that masks pass bit 8
         from mfchern.chern import _power_traces
 
+        to_zero, ideal = _Memo(_modulo_x), _Memo(_modulo_2y_x3)
+        reduced = 0
         rng = random.Random(200 + top)
         for size in (1, 2, 3, 4):
             X = _rational_matrix(rng, size, size)
             I = FormMatrix.identity(CTX4, size)
-            want, power = [], X
-            for _ in range(top):
-                want.append(_ref_sum(CTX4, [power.entries[i][i] for i in range(size)]))
-                power = FormMatrix(CTX4, size, size, _ref_mul(power, X))
+            want = _running_traces(X, top)
             assert _power_traces(X, I, range(1, top + 1), None) == want
             if top:
                 assert _power_traces(X, I, [top], defaultdict(lambda: None)) == want[-1:]
+            for memo, cap in ((to_zero, 0), (ideal, 7)):
+                got = _power_traces(X, I, range(1, top + 1), memo, cap)
+                assert got == [_reduced(w, memo) for w in want]
+            reduced += sum(m[0] > 0 for w in want for p in w.components.values() for m in p.terms)
+        if top:
+            assert reduced
+            assert any(r is not None and not r.is_zero() for r in ideal.values())
+        for size in (1, 2):
+            X = _rational_matrix(rng, size, size, CTX12, 6)
+            I = FormMatrix.identity(CTX12, size)
+            assert _power_traces(X, I, range(1, top + 1), None) == _running_traces(X, top)
+
+    @pytest.mark.parametrize("var", [0, 3])
+    def test_power_traces_fill_the_field(self, var):
+        # X = [[v^5 + y + 2]], v the first or last variable: X^3 reaches v^15,
+        # every bit of a 4-bit field, next to y's field or at the top
+        from mfchern.chern import _power_traces
+
+        v = "xyzw"[var]
+        p = parse_poly(f"{v}^5 + y + 2", CTX4)
+        X = FormMatrix(CTX4, 1, 1, [[Form.from_poly(p)]])
+        got = _power_traces(X, FormMatrix.identity(CTX4, 1), [1, 2, 3], None)
+        assert got == [Form.from_poly(p ** k) for k in (1, 2, 3)]
+        assert (15 if var == 0 else 0, 0, 0, 15 if var == 3 else 0) in got[2].components[()].terms
+
+    def test_power_traces_fill_the_field_with_a_normal_form(self):
+        # x*y^2 goes to x^7/4 modulo (2y - x^3, x^8): cap 7 sets a 3-bit field
+        from mfchern.chern import _power_traces
+
+        X = FormMatrix(CTX4, 1, 1, [[parse_form("(x*y^2 + z)*dw", CTX4)]])
+        got = _power_traces(X, FormMatrix.identity(CTX4, 1), [1], _Memo(_modulo_2y_x3), 7)
+        assert got == [parse_form("(1/4*x^7 + z)*dw", CTX4)]
+
+    def test_power_traces_refuse_a_normal_form_past_the_bound(self):
+        from mfchern.chern import InternalConsistencyError, _power_traces
+
+        X = FormMatrix(CTX4, 1, 1, [[parse_form("y*dx", CTX4)]])
+        memo = _Memo(lambda m: Poly(CTX4, {(3 * m[1], 0, 0, 0): 1}) if m[1] else None)
+        with pytest.raises(InternalConsistencyError, match="exponent bound"):
+            _power_traces(X, FormMatrix.identity(CTX4, 1), [1], memo)
+
+    def test_power_traces_build_forms_only_for_the_traces(self, monkeypatch):
+        from mfchern.chern import _power_traces
+
+        rng = random.Random(330)
+        X = _rational_matrix(rng, 3, 3)
+        I = FormMatrix.identity(CTX4, 3)
+        built = []
+        trusted, init = Form._trusted.__func__, Form.__init__
+        monkeypatch.setattr(
+            Form, "_trusted", classmethod(lambda cls, *a: built.append(1) or trusted(cls, *a))
+        )
+        monkeypatch.setattr(Form, "__init__", lambda w, *a: built.append(1) or init(w, *a))
+        assert len(_power_traces(X, I, range(1, 6), None)) == 5
+        assert len(built) == 5
+        del built[:]
+        assert len(_power_traces(X, I, [5], defaultdict(lambda: None))) == 1
+        assert len(built) == 1
+
+
+# monomial memos for the chain helper, in the shape of
+# ideals._jacobian_normal_forms: None for a monomial no lead divides, else its
+# normal form, with no exponent above the cap passed along
+
+def _modulo_x(m):
+    """Modulo the monomial ideal (x): every monomial with x goes to 0."""
+    return Poly.zero(CTX4) if m[0] else None
+
+
+def _modulo_2y_x3(m):
+    """Modulo (2y - x^3, x^8), lex with y > x: x^a y^b z^c w^d goes to
+    x^(a+3b) z^c w^d / 2^b, or to 0 once a + 3b >= 8 (cap 7)."""
+    a, b, c, d = m
+    if not b and a < 8:
+        return None
+    if a + 3 * b >= 8:
+        return Poly.zero(CTX4)
+    return Poly(CTX4, {(a + 3 * b, 0, c, d): Fraction(1, 2 ** b)})
+
+
+def _running_traces(X, top):
+    """tr(X), ..., tr(X^top) from a plain running product."""
+    size = X.rows
+    want, power = [], X
+    for _ in range(top):
+        want.append(_ref_sum(X.ctx, [power.entries[i][i] for i in range(size)]))
+        power = FormMatrix(X.ctx, size, size, _ref_mul(power, X))
+    return want
+
+
+def _reduced(w, memo):
+    """w with each monomial replaced by its memo entry, when it has one."""
+    ctx = w.ctx
+    return Form(ctx, [
+        (idx, Poly(ctx, {m: c}) if memo[m] is None else memo[m] * c)
+        for idx, p in w.components.items() for m, c in p.terms.items()
+    ])

@@ -196,6 +196,23 @@ class TestConstructorBoundary:
         with pytest.raises(RingError, match="negative"):
             Poly(CTX, {(1, -1, 0): 1})
 
+    @pytest.mark.parametrize("mono", [(1.5, 0, 0), (1.0, 0, 0), ("1", 0, 0), (None, 0, 0)])
+    def test_rejects_a_non_int_exponent(self, mono):
+        # x^1.5 would print as a term that does not parse back
+        with pytest.raises(RingError, match="not an int"):
+            Poly(CTX, {mono: 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, "2", None, complex(1, 0)])
+    def test_rejects_a_coefficient_that_is_not_exact(self, coeff):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(RingError, match="not an int or Fraction"):
+            Poly(CTX, {(1, 0, 0): coeff})
+
+    def test_accepts_ints_and_fractions(self):
+        p = Poly(CTX, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 3), (0, 0, 1): 5})
+        assert p.terms == {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 1): 5}
+        assert type(p.terms[(1, 0, 0)]) is int
+
     def test_merges_and_drops_zero_terms(self):
         p = Poly(CTX, [((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), 1)])
         assert p.terms == {(0, 1, 0): Fraction(1)}
