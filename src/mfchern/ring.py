@@ -197,9 +197,11 @@ class Poly(Frozen):
                 if all(isinstance(e, int) for e in m):
                     raise RingError("negative exponent in monomial")
                 raise RingError(f"exponent in monomial {m} is not an int")
-            if not isinstance(c, (int, Fraction)):
-                raise RingError(f"coefficient {c!r} is not an int or Fraction")
-            acc[m] = acc.get(m, 0) + (c if type(c) is int else Fraction(c))
+            if type(c) is not int:
+                if not isinstance(c, (int, Fraction)):
+                    raise RingError(f"coefficient {c!r} is not an int or Fraction")
+                c = Fraction(c)
+            acc[m] = acc.get(m, 0) + c
         super().__init__(ctx, _canonical(acc))
 
     # -- constructors ------------------------------------------------------
