@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, log2
-from operator import add, attrgetter, le, sub
+from operator import add, attrgetter
 from typing import Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
@@ -132,18 +132,6 @@ class RingCtx(Frozen):
         # nonzero entry of the difference being negative.
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def neg_monomial_key(self, m: Monomial):
-        """Sort key of the reversed order: smaller key, larger monomial.
-
-        The entrywise negation of :meth:`monomial_key`, built directly, so
-        that a min-heap of these keys pops the largest monomial first.
-        """
-        if self.order == "lex":
-            return tuple(-e for e in m)
-        if self.order == "grlex":
-            return (-sum(m), tuple(-e for e in m))
-        return (-sum(m), m[::-1])
-
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b: an int when it is integral, else a Fraction.
@@ -158,18 +146,6 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 def _canonical(terms: dict) -> dict:

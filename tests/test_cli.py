@@ -501,6 +501,18 @@ class TestNormalForm:
                      "--vars", "x", "y"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    @pytest.mark.parametrize("potential,form,want", [
+        ("x^400*y + y^3", "x^401*dx^dy", "-3*x*y^2*dx^dy"),
+        ("x^3 + y^3", "x^300*y^2*dx", "-x^298*y^4*dy"),
+    ], ids=["high-degree-basis", "high-degree-form"])
+    def test_high_degrees_fit_the_packed_engine(self, capsys, potential, form, want):
+        # the Groebner engine packs exponents into fixed-width fields: a
+        # basis of degree 400, and a form of degree 302 against a basis of
+        # degree 2, must widen the fields instead of failing
+        assert main(["nf", "--potential", potential, "--form", form,
+                     "--vars", "x", "y"]) == 0
+        assert capsys.readouterr().out.strip() == want
+
     def test_parse_error_is_usage(self, capsys):
         assert main(["nf", "--potential", "x*(", "--form", "dx",
                      "--vars", "x"]) == 2

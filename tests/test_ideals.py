@@ -18,6 +18,7 @@ from mfchern import (
     print_poly,
     wedge,
 )
+from mfchern import ideals as ideals_module
 from mfchern.ideals import (
     GroebnerBasis,
     ModuleGB,
@@ -480,3 +481,110 @@ class TestIntegerEngine:
             assert is_member([a - b for a, b in zip(v, nf)])
         for g in gens:
             assert is_zero_vector(module_normal_form(g, mgb))
+
+
+# ---------------------------------------------------------------------------
+# the packed engine: field arithmetic, widening, the handed-over basis, and
+# the df-image generators built without wedge
+# ---------------------------------------------------------------------------
+
+ORDERS = [("degrevlex", "grevlex"), ("grlex", "grlex"), ("lex", "lex")]
+
+
+class TestPackedEngine:
+    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
+    def test_divisibility_and_lcm_follow_the_exponents(self, order):
+        rng = random.Random(f"swar:{order}")
+        ctx = RingCtx(("x", "y", "z", "w"), order)
+        for width in (3, 4, 6):
+            cap = (1 << width - 1) - 1
+            for _ in range(150):
+                leads = []
+                for _ in range(2):
+                    m = [rng.randint(0, 3) for _ in range(4)]
+                    while 2 * sum(m) > cap:  # the lcm must fit too
+                        m[rng.randrange(4)] //= 2
+                    leads.append(tuple(m))
+                a, b = leads
+                basis = ideals_module._Basis(
+                    ctx, 1, width, [(Poly(ctx, {a: 1}),), (Poly(ctx, {b: 1}),)])
+                (key_b,) = basis.terms((Poly(ctx, {b: 1}),))
+                assert basis.divides(0, key_b) == all(i <= j for i, j in zip(a, b))
+                assert basis.unpack(basis.lcm(0, 1)) == (0, tuple(map(max, a, b)))
+
+    def test_an_lcm_past_the_fields_overflows(self):
+        basis = ideals_module._Basis(
+            CTX2, 1, 3, [(parse_poly("x^3", CTX2),), (parse_poly("y^3", CTX2),)])
+        assert basis.cap == 3
+        with pytest.raises(ideals_module._Overflow):
+            basis.lcm(0, 1)
+
+    @pytest.mark.parametrize("order,sympy_order", ORDERS)
+    def test_widening_from_the_narrowest_fields_reaches_sympys_basis(
+            self, monkeypatch, order, sympy_order):
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(ideals_module, "_start_width", lambda *inputs: 2)
+        rng = random.Random(f"widen:{order}")
+        for trial in range(6):
+            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            xs = sympy.symbols(ctx.variables)
+            gens = [rand_rational_poly(rng, ctx, max_deg=3) for _ in range(rng.randint(2, 3))]
+            gb = buchberger(gens, ctx)
+            assert gb._basis.width > 2  # the run started over, wider
+            assert is_groebner(gb)
+            ref = sympy.groebner(
+                [to_sympy(g, xs) for g in gens], *xs, order=sympy_order, domain="QQ")
+            assert {to_sympy(g, xs) for g in gb.generators} == set(ref.exprs)
+            for _ in range(3):
+                p = rand_rational_poly(rng, ctx, max_deg=5, max_terms=4)
+                assert to_sympy(normal_form(p, gb), xs) == ref.reduce(to_sympy(p, xs))[1]
+
+    def test_normal_forms_widen_the_basis_they_use(self):
+        gb = buchberger([parse_poly("x^2 - y", CTX2), parse_poly("y^3", CTX2)], CTX2)
+        width = gb._basis.width
+        nf = normal_form(parse_poly("x^2000*y + x", CTX2), gb)
+        assert nf == parse_poly("x", CTX2)
+        assert gb._basis.width > width
+        assert is_groebner(gb)
+
+    def test_verifier_reads_the_public_generators_not_the_handed_basis(self):
+        f = parse_poly("(x^2 + y*z)*(z^2 + x + y^2)", CTX3)
+        mgb = df_image_module_gb(f, 2)
+        ctx, rank, gens = mgb.ctx, mgb.ambient_rank, list(mgb.generators)
+        handed = ideals_module._handed(ModuleGB, mgb._basis, ctx, rank, tuple(gens))
+        assert is_groebner(handed)
+        # double one tail coefficient: the public generator is still monic
+        # and reduced, but no longer part of a Groebner basis
+        i = next(i for i, v in enumerate(gens) if sum(len(p.terms) for p in v) > 1)
+        lead_pos = next(j for j, p in enumerate(gens[i]) if not p.is_zero())
+        lead = (lead_pos, gens[i][lead_pos].leading_monomial())
+        gens[i] = tuple(
+            Poly(ctx, {m: c if (j, m) == lead else 2 * c for m, c in p.terms.items()})
+            for j, p in enumerate(gens[i])
+        )
+        tampered = ideals_module._handed(ModuleGB, mgb._basis, ctx, rank, tuple(gens))
+        assert not is_groebner(tampered)
+
+    def test_df_image_vectors_match_wedge(self):
+        rng = random.Random(83)
+        for ctx in (CTX2, CTX3, CTX4) * 4:
+            f = rand_poly(rng, ctx, max_deg=3, max_terms=4)
+            for k in range(1, ctx.nvars + 1):
+                assert ideals_module._df_image_vectors(f, k) == df_image_vectors(f, k)
+        # a potential free of some variables leaves zero partials out
+        f = parse_poly("x^3 + x*z", CTX4)
+        for k in range(1, 5):
+            assert ideals_module._df_image_vectors(f, k) == df_image_vectors(f, k)
+
+    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
+    def test_a_tail_above_the_leads_degree_widens(self, order):
+        # in position-over-term order a tail in a later position may have a
+        # higher degree than the lead, whatever the monomial order
+        ctx = RingCtx(("x",), order)
+        one, x6 = Poly.one(ctx), Poly(ctx, {(6,): 1})
+        mgb = module_buchberger([(one, x6)], 2, ctx)
+        width = mgb._basis.width
+        assert mgb._basis.cap < 8196
+        nf = module_normal_form((Poly(ctx, {(8190,): 1}), Poly.zero(ctx)), mgb)
+        assert nf == (Poly.zero(ctx), Poly(ctx, {(8196,): -1}))
+        assert mgb._basis.width > width

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import time
 from fractions import Fraction
 
@@ -264,12 +265,33 @@ class TestOrder:
         assert ordered == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
 
     @pytest.mark.parametrize("order", ["degrevlex", "grlex", "lex"])
-    def test_neg_monomial_key_reverses_the_order(self, order):
-        ctx = RingCtx(("x", "y", "z"), order)
-        monos = [m for m in itertools.product(range(4), repeat=3) if sum(m) <= 4]
-        assert sorted(monos, key=ctx.neg_monomial_key) == sorted(
-            monos, key=ctx.monomial_key, reverse=True
-        )
+    def test_packed_terms_follow_the_position_over_term_order(self, order):
+        # the Groebner engine packs a term (pos, m) into one int, and a
+        # smaller int must be a larger term: lower position first, then the
+        # larger monomial
+        from mfchern.ideals import _Basis
+
+        rng = random.Random(f"packed:{order}")
+        ctx = RingCtx(("x", "y", "z", "w"), order)
+        for width in (3, 5, 8):
+            basis = _Basis(ctx, 6, width)
+
+            def packed(term):
+                v = [Poly.zero(ctx)] * 6
+                v[term[0]] = Poly(ctx, {term[1]: 1})
+                (key,) = basis.terms(v)
+                return key
+
+            terms = set()
+            while len(terms) < 200:
+                m = [rng.randint(0, basis.cap) for _ in range(4)]
+                while sum(m) > basis.cap:
+                    m[rng.randrange(4)] //= 2
+                terms.add((rng.randrange(6), tuple(m)))
+            want = sorted(terms, key=lambda t: ctx.monomial_key(t[1]), reverse=True)
+            want.sort(key=lambda t: t[0])
+            assert sorted(terms, key=packed) == want
+            assert [basis.unpack(packed(t)) for t in want] == want
 
     def test_degrevlex_vs_grlex_differ(self):
         c = ring("x", "y", "z")
