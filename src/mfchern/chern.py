@@ -12,19 +12,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
-from operator import add, itemgetter, lshift
+from operator import itemgetter
 
 from .exterior import (
-    Form,
-    FormMatrix,
-    _index_tuple,
-    _wedge_forms,
-    _wedge_sums,
-    exterior_derivative,
-    fm_exterior_derivative,
-    fm_mul,
-    wedge,
+    Form, FormMatrix, _Packing, _largest, _wedge_forms, _wedge_sums, exterior_derivative,
+    fm_exterior_derivative, fm_mul, wedge,
 )
 from .ideals import _Memo, _jacobian_normal_forms, df_form, form_normal_form
 from .mf import (
@@ -259,19 +251,17 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
         str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
 
     while odd powers have zero diagonal blocks and are never formed.  The
-    traces come from half-length power chains (:func:`_power_traces`),
-    which flatten At01 and At10 once, with packed monomials, and build
-    Forms only for the traces they return.  When n > 0 and the Jacobian ring Q[x]/J_f is finite-dimensional (an
-    isolated singularity), (Omega^*, df^) is exact below degree n, so every
-    lower class is zero and only tr(X^(n/2)), tr(Y^(n/2)) are formed (none
-    for odd n).  J_f.Omega^* is an ideal of the exterior algebra and
-    J_f.Omega^n = df^Omega^(n-1), so there every product is reduced mod
-    J_f, and so is every trace.  Every other f forms every degree up to n,
-    unreduced.
+    traces come from half-length power chains (:func:`_power_traces`) in
+    the packed form of the wedge kernel.  When n > 0 and the Jacobian ring
+    Q[x]/J_f is finite-dimensional (an isolated singularity), (Omega^*,
+    df^) is exact below degree n, so every lower class is zero and only
+    tr(X^(n/2)), tr(Y^(n/2)) are formed (none for odd n).  J_f.Omega^* is
+    an ideal of the exterior algebra and J_f.Omega^n = df^Omega^(n-1), so
+    there every product is reduced mod J_f, and so is every trace.  Every
+    other f forms every degree up to n, unreduced.
 
     Each formed degree re-verifies, on the traces the chains return, the
-    graded cyclicity of the trace for matrices of 1-forms,
-    tr(Y^i) = -tr(X^i) (mod J_f when reduced), and the
+    graded cyclicity tr(Y^i) = -tr(X^i) (mod J_f when reduced) and the
     cycle condition df ^ str(At^(2i)) = 0, and raises
     InternalConsistencyError if either fails: that means the library is
     broken, not the input.  The dense path (atiyah_power, supertrace) stays
@@ -281,25 +271,17 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
     return HomologyClass(M.f, M.ctx.nvars, _cycles(at, _jacobian_normal_forms(M.f)))
 
 
-def _cycles(at: AtiyahClass, nf) -> dict:
-    """{2i: str(At^(2i)) / (2i)!} for 2i <= n.  ``nf`` is the monomial memo
-    of ``ideals._jacobian_normal_forms``: when set, only degree n is formed
-    (for even n), with every product reduced, and lower degrees are zero."""
+def _cycles(at: AtiyahClass, jacobian) -> dict:
+    """{2i: str(At^(2i)) / (2i)!} for 2i <= n.  ``jacobian`` is None or the
+    monomial memo and exponent cap of ``ideals._jacobian_normal_forms``:
+    when set, only degree n is formed (for even n), with every product
+    reduced, and lower degrees are zero."""
     M = at.base
     ctx = M.ctx
     n = ctx.nvars
     half = n // 2
-    if nf is None:
-        wanted, cap = range(1, half + 1), 0
-    else:
-        wanted = [half] if n % 2 == 0 else []
-        # normal forms are made of standard monomials, whose exponent of x_i
-        # is below that of the pure-power lead x_i^(a_i) every x_i has here:
-        # a_i - 1 is the least k for which x_i^(k+1) reduces
-        cap = max(
-            next(k for k in count() if nf[(0,) * i + (k + 1,) + (0,) * (n - 1 - i)] is not None)
-            for i in range(n)
-        )
+    nf, cap = jacobian or (None, 0)
+    wanted = range(1, half + 1) if nf is None else ([half] if n % 2 == 0 else [])
     a, b = at.block01, at.block10
     tr_x = _power_traces(a, b, wanted, nf, cap)
     tr_y = _power_traces(b, a, wanted, nf, cap)
@@ -326,95 +308,63 @@ def _power_traces(S: FormMatrix, T: FormMatrix, wanted, nf, cap=0) -> list:
     Only the powers X^k with k <= h = ceil(max(wanted)/2) are formed, none
     when max(wanted) <= 1, and each tr(X^i) comes from the diagonal alone
     of a product of two of them: X^(i-1).X for i <= h, X^h.X^(i-h) above,
-    S.T for i = 1.  S and T are flattened once into the entries of
-    :func:`exterior._wedge_sums`, each monomial packed into one int of
-    fixed-width fields, so a monomial product is one int ``+``.  No exponent
-    the chain forms passes max(wanted) * max(eS + eT, cap), eS and eT the
-    largest exponents in S and T, and each field is that bound's width.
-    Products, reductions and diagonal products stay flat; the only Forms
-    built are the traces returned.
+    S.T for i = 1.  S and T are packed once (:class:`exterior._Packing`),
+    in fields as wide as max(wanted) * max(eS + eT, cap), eS and eT their
+    largest exponents, which bounds every exponent of the chain.  All of
+    it stays packed; the only Forms built are the traces returned.
     """
     if not wanted:
         return []
-    ctx = S.ctx
-    n = ctx.nvars
-    top = max(wanted)
+    ctx, top = S.ctx, max(wanted)
     h = (top + 1) // 2
-
-    def largest(P: FormMatrix) -> int:
-        return max((e for row in P.entries for w in row for p in w.components.values()
-                    for m in p.terms for e in m), default=0)
-
-    reach = top * max(largest(S) + largest(T), cap)
-    width = reach.bit_length()
-    shifts = [width * i for i in range(n)]
-    field = (1 << width) - 1
-
-    def pack(m) -> int:
-        return sum(map(lshift, m, shifts))
-
-    def unpack(u: int) -> tuple:
-        return tuple(u >> s & field for s in shifts)
-
-    def flat(P: FormMatrix) -> list:
-        return [
-            [[(sum(map((1).__lshift__, idx)), tuple((pack(m), c) for m, c in p.terms.items()))
-              for idx, p in w.components.items()] for w in row]
-            for row in P.entries
-        ]
-
+    reach = top * max(_largest(S.entries) + _largest(T.entries), cap)
+    packing = _Packing(ctx.nvars, reach)
     if nf is not None:
         irreducible = set()
 
         def packed_normal_form(u: int):
-            r = nf[unpack(u)]
+            r = nf[packing[u]]
             if r is None:
                 irreducible.add(u)
                 return None
             if any(e > reach for m in r.terms for e in m):
                 raise InternalConsistencyError("normal form past the exponent bound")
-            return tuple((pack(m), c) for m, c in r.terms.items())
+            return packing.pack(r)
 
         normal_forms = _Memo(packed_normal_form)
 
-    def settle(acc: dict) -> list:
-        """The flat entry of one cell's sums: each monomial that reduces
-        replaced by its normal form, then zero terms and empty components
-        dropped."""
-        out = []
-        for m, terms in acc.items():
+    def reduced(acc: dict) -> dict:
+        """One cell's sums, each monomial that reduces replaced by its
+        normal form."""
+        for terms in acc.values():
             if nf is not None and not terms.keys() <= irreducible:
                 moved = [(normal_forms[u], terms.pop(u))
                          for u in [u for u in terms if normal_forms[u] is not None]]
                 for r, c in moved:
                     for v, d in r:
                         terms[v] = terms[v] + c * d if v in terms else c * d
-            terms = tuple(filter(itemgetter(1), terms.items()))
-            if terms:
-                out.append((m, terms))
-        return out
+        return acc
 
     r = S.rows
     cells = [((i, j),) for i in range(r) for j in range(r)]
 
     def product(P, Q) -> list:
-        sums = list(map(settle, _wedge_sums(n, P, Q, cells, add)))
+        """P.Q, reduced, as flat entries without zero terms."""
+        sums = [[(m, t) for m, terms in reduced(acc).items()
+                 if (t := tuple(filter(itemgetter(1), terms.items())))]
+                for acc in _wedge_sums(P, Q, cells)]
         return [sums[i * r:(i + 1) * r] for i in range(r)]
 
-    S, T = flat(S), flat(T)
+    S, T = packing.flat(S.entries), packing.flat(T.entries)
     powers = [product(S, T)] if top > 1 else []  # powers[k - 1] = X^k
     while powers and len(powers) < h:
         powers.append(product(powers[-1], powers[0]))
-    out = []
+    traces = []
     for i in wanted:
         j = max(1, i - h)  # tr(X^i) = tr(X^(i-j).X^j), both formed
         P, Q = (S, T) if i == 1 else (powers[i - j - 1], powers[j - 1])
-        acc = _wedge_sums(n, P, Q, [[(k, k) for k in range(r)]], add)[0]
-        out.append(Form._trusted(ctx, {
-            _index_tuple(m): Poly._trusted(ctx, {unpack(u): c for u, c in terms})
-            for m, terms in settle(acc)
-        }))
-    return out
+        traces.append(reduced(_wedge_sums(P, Q, [[(k, k) for k in range(r)]])[0]))
+    return packing.forms(ctx, traces)
 
 
 def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:

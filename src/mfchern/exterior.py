@@ -7,11 +7,12 @@ the shuffle sign; anything of degree above the variable count is zero.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
+from operator import lshift
 from typing import Mapping
 
-from .ring import (
-    Frozen, Matrix, Poly, RingCtx, RingError, _PolyParser, monomial_mul, print_poly,
-)
+from .ring import Frozen, Matrix, Poly, RingCtx, RingError, _PolyParser, print_poly
 
 
 class Form(Frozen):
@@ -145,14 +146,15 @@ def exterior_derivative(a: Form) -> Form:
 def parse_form(text: str, ctx: RingCtx) -> Form:
     """Parse a form: the polynomial grammar of :func:`ring.parse_poly` with
     one more kind of factor, a differential chain 'dv^dw^...' (see
-    ``ring._PolyParser``), as in "(x+1)*dx^dy + 3*dz"."""
-    out = Form.zero(ctx)
-    for coeff, chain in _PolyParser(text, ctx).parse(forms=True):
-        term = Form.from_poly(coeff)
-        for i in chain:
-            term = wedge(term, Form.d_var(ctx, i))
-        out = out + term
-    return out
+    ``ring._PolyParser``), as in "(x+1)*dx^dy + 3*dz".  A chain is sorted
+    into place with the sign of its inversions."""
+    terms = []
+    for coeff, word in _PolyParser(text, ctx).parse(forms=True):
+        idx = tuple(sorted(word))
+        if len(set(idx)) == len(idx):  # else a differential repeats: dx ^ dx = 0
+            odd = sum(a > b for k, a in enumerate(word) for b in word[k + 1:]) % 2
+            terms.append((idx, -coeff if odd else coeff))
+    return Form(ctx, terms)
 
 
 def print_form(w: Form) -> str:
@@ -226,9 +228,11 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
 
 # ---------------------------------------------------------------------------
 # the wedge-product kernel behind wedge, fm_mul, the trace of a product and
-# the Chern power chains
+# the Chern power chains; the caches on index bitmasks hold at most 3^nvars
+# entries
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _odd_shuffle(ma: int, mb: int) -> bool:
     """Whether dx_A ^ dx_B = -dx_(A|B) for disjoint index bitmasks A and B:
     the parity of the pairs (a, b) in A x B with a > b."""
@@ -240,32 +244,93 @@ def _odd_shuffle(ma: int, mb: int) -> bool:
     return pairs % 2 == 1
 
 
+@lru_cache(maxsize=None)
 def _index_tuple(m: int) -> tuple:
     """The increasing index tuple of an index bitmask."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
-def _wedge_sums(nvars: int, S, T, cells, mul) -> list:
+def _largest(grid) -> int:
+    """The largest exponent in a grid of Forms: 0 for constants alone, -1
+    when it has no term."""
+    terms = [p.terms for row in grid for w in row for p in w.components.values()]
+    return max(chain.from_iterable(chain.from_iterable(terms)), default=0) if terms else -1
+
+
+class _Packing(dict):
+    """Monomials packed into ints, one field per variable wide enough for
+    every exponent up to ``bound``, so that a monomial product is one int
+    ``+``.  The dict maps a packed monomial to its exponent tuple: it holds
+    the monomials packed (a product by a constant is one of them) and
+    unpacks any other on its first lookup."""
+
+    __slots__ = ("shifts", "field")
+
+    def __init__(self, nvars: int, bound: int):
+        width = bound.bit_length()
+        self.shifts = [width * i for i in range(nvars)]
+        self.field = (1 << width) - 1
+
+    def __missing__(self, u: int) -> tuple:
+        e = self[u] = tuple([u >> s & self.field for s in self.shifts])
+        return e
+
+    def pack(self, p: Poly) -> list:
+        """p's terms as ``(monomial, coeff)`` pairs with packed monomials,
+        each kept with its exponent tuple."""
+        shifts = self.shifts
+        terms = []
+        for m, c in p.terms.items():
+            u = sum(map(lshift, m, shifts))
+            self[u] = m
+            terms.append((u, c))
+        return terms
+
+    def flat(self, grid) -> list:
+        """The flat entries of :func:`_wedge_sums` for a grid of Forms."""
+        out = []
+        for row in grid:
+            flat_row = []
+            for w in row:
+                entry = []
+                for idx, p in w.components.items():
+                    entry.append((sum(map((1).__lshift__, idx)), self.pack(p)))
+                flat_row.append(entry)
+            out.append(flat_row)
+        return out
+
+    def forms(self, ctx: RingCtx, sums) -> list:
+        """One Form per ``{mask: {monomial: coeff}}`` of ``sums``, each Poly
+        built canonical in one pass."""
+        out = []
+        for acc in sums:
+            comps = {}
+            for m, terms in acc.items():
+                poly = {}
+                for u, c in terms.items():
+                    if c:
+                        poly[self[u]] = (
+                            c if type(c) is int or c.denominator != 1 else c.numerator
+                        )
+                comps[_index_tuple(m)] = Poly._raw(ctx, poly)
+            out.append(Form._trusted(ctx, comps))
+        return out
+
+
+def _wedge_sums(S, T, cells) -> list:
     """One ``{mask: {monomial: coeff}}`` dict per cell: the sum over (i, j)
     in the cell of (S.T)[i][j], in the flat form the kernel works on.
 
     S and T are grids (sequences of rows) of flat entries with
     len(S[i]) == len(T).  A flat entry lists the nonzero components of a
-    form as ``(index bitmask, ((monomial, coeff), ...))`` pairs, the empty
-    list for zero.  Index sets that overlap (``ma & mb``) are skipped before
-    anything is built, the merged index is ``ma | mb``, and the shuffle sign
-    is read from the two masks.  Shuffle signs (keyed by
-    ``ma << nvars | mb``) and monomial products are memoised for this call
-    only; ``mul`` multiplies two monomials on a memo miss, so monomials may
-    be exponent tuples or packed ints.  Coefficients are summed as they are,
+    form as ``(index bitmask, terms)`` pairs, the empty list for zero; the
+    terms are ``(monomial, coeff)`` pairs, each monomial packed into fields
+    wide enough for the product (:class:`_Packing`), so a monomial product
+    is one ``+``.  Index sets that overlap (``ma & mb``) are skipped before
+    anything is built, the merged index is ``ma | mb``, and the shuffle
+    sign is read from the two masks.  Coefficients are summed as they are,
     so a dict may hold zeros and integral Fractions.
     """
-    signs, monos = {}, {}
     nonzero = [[(a, tb) for a, tb in zip(row, T) if a] for row in S]
     out = []
     for cell in cells:
@@ -277,21 +342,16 @@ def _wedge_sums(nvars: int, S, T, cells, mul) -> list:
                     for mb, tb in b:
                         if ma & mb:
                             continue
-                        key = ma << nvars | mb
-                        neg = signs.get(key)
-                        if neg is None:
-                            neg = signs[key] = _odd_shuffle(ma, mb)
+                        neg = _odd_shuffle(ma, mb)
                         m = ma | mb
                         dst = acc.get(m)
                         if dst is None:
                             dst = acc[m] = {}
                         for m1, c1 in ta:
                             for m2, c2 in tb:
-                                mono = monos.get((m1, m2))
-                                if mono is None:
-                                    mono = monos[m1, m2] = mul(m1, m2)
+                                u = m1 + m2
                                 c = -c1 * c2 if neg else c1 * c2
-                                dst[mono] = dst[mono] + c if mono in dst else c
+                                dst[u] = dst[u] + c if u in dst else c
         out.append(acc)
     return out
 
@@ -300,31 +360,13 @@ def _wedge_forms(ctx: RingCtx, S, T, cells) -> list:
     """One Form per cell: the sum over (i, j) in the cell of (S.T)[i][j],
     for grids S and T of Forms of ``ctx`` (see :func:`_wedge_sums`).
 
-    Each operand entry is flattened once, with exponent-tuple monomials;
-    integral coefficients are stored as ints, so their products never touch
-    ``Fraction``."""
-    nvars = ctx.nvars
-    masks = {}
-
-    def flat(w: Form) -> list:
-        out = []
-        for idx, p in w.components.items():
-            m = masks.get(idx)
-            if m is None:
-                m = masks[idx] = sum(map((1).__lshift__, idx))
-            out.append((m, tuple(p.terms.items())))
-        return out
-
-    sums = _wedge_sums(
-        nvars, [list(map(flat, row)) for row in S], [list(map(flat, row)) for row in T],
-        cells, monomial_mul,
-    )
-    return [
-        Form._trusted(ctx, {
-            _index_tuple(m): Poly._trusted(ctx, terms) for m, terms in acc.items()
-        })
-        for acc in sums
-    ]
+    Each operand entry is packed once, in fields as wide as the largest
+    exponent of S plus that of T."""
+    top_s, top_t = _largest(S), _largest(T)
+    if min(top_s, top_t) < 0:  # a side with no term forms no product
+        return [Form._trusted(ctx, {}) for _ in cells]
+    packing = _Packing(ctx.nvars, top_s + top_t)
+    return packing.forms(ctx, _wedge_sums(packing.flat(S), packing.flat(T), cells))
 
 
 def fm_exterior_derivative(T: FormMatrix) -> FormMatrix:

@@ -521,13 +521,16 @@ def _cached_df_image_gb(f: Poly, k: int) -> ModuleGB:
 
 
 def _jacobian_normal_forms(f: Poly):
-    """A memo from a monomial to its normal form modulo the Jacobian ideal
-    J_f, or to None when no lead of J_f divides it; None instead of the memo
-    unless n > 0 and Q[x]/J_f is finite-dimensional.
+    """``(memo, cap)``: the memo maps a monomial to its normal form modulo
+    the Jacobian ideal J_f, or to None when no lead of J_f divides it, and
+    no normal form has an exponent above ``cap``; None instead unless n > 0
+    and Q[x]/J_f is finite-dimensional.
 
     In Omega^n the df-image is J_f.dx_1..n, so the cached basis of degree n
     is the reduced basis of J_f.  The quotient is finite-dimensional exactly
-    when every variable has a pure-power lead; a lead of 1 serves them all."""
+    when every variable has a pure-power lead; a lead of 1 serves them all.
+    A normal form holds standard monomials, whose exponent of x_i is below
+    the least pure-power lead x_i^(a_i), so the cap is max(a_i) - 1, or 0."""
     ctx = f.ctx
     n = ctx.nvars
     if n == 0:
@@ -535,7 +538,8 @@ def _jacobian_normal_forms(f: Poly):
     gb = _cached_df_image_gb(f, n)
     basis = gb._basis
     leads = [basis.unpack(g[0])[1] for g in basis.gens]
-    if not all(any(sum(lm) == lm[i] for lm in leads) for i in range(n)):
+    powers = [[lm[i] for lm in leads if sum(lm) == lm[i]] for i in range(n)]
+    if not all(powers):
         return None
 
     def nf(m):
@@ -543,7 +547,7 @@ def _jacobian_normal_forms(f: Poly):
             return _normal_form(gb, (Poly._trusted(ctx, {m: 1}),))[0]
         return None
 
-    return _Memo(nf)
+    return _Memo(nf), max(max(min(a) - 1 for a in powers), 0)
 
 
 def form_normal_form(w: Form, f: Poly) -> Form:

@@ -144,10 +144,6 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
 def _canonical(terms: dict) -> dict:
     """The nonzero terms, with integral Fraction coefficients made int."""
     return {
@@ -189,9 +185,15 @@ class Poly(Frozen):
         zero coefficients are dropped and integral ones made int, nothing
         else is checked.
         """
+        return cls._raw(ctx, _canonical(terms))
+
+    @classmethod
+    def _raw(cls, ctx: RingCtx, terms: dict) -> "Poly":
+        """:meth:`_trusted` for a fresh ``terms`` dict that is canonical
+        already: no zero coefficient and no integral Fraction."""
         p = object.__new__(cls)
         object.__setattr__(p, "ctx", ctx)
-        object.__setattr__(p, "terms", _canonical(terms))
+        object.__setattr__(p, "terms", terms)
         return p
 
     @classmethod
@@ -256,7 +258,7 @@ class Poly(Frozen):
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 acc[m] = acc[m] + c if m in acc else c
         return Poly._trusted(self.ctx, acc)

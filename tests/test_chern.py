@@ -412,6 +412,23 @@ class TestJacobianKernel:
             seeds=(5, 6),
         )
 
+    @pytest.mark.parametrize("names, f", [
+        ("x", "x^5"), ("xy", "x"), ("xy", "x^3*y + y^4"), ("xy", "x^4 + y^4 + x^2*y^2"),
+        ("xyzw", "x^3 + y^3 + z^3*w + w^5"), ("xyuv", "x^3 + x*y^2 + u^3 - u*v^2"),
+    ])
+    def test_exponent_cap_from_the_pure_power_leads(self, names, f):
+        # the cap is the largest over i of the least k for which x_i^(k+1)
+        # reduces, asked of the memo power by power; f = x has the lead 1
+        ctx = ring(*names)
+        nf, cap = chern._jacobian_normal_forms(parse_poly(f, ctx))
+        n = ctx.nvars
+        powers = [[tuple(k if j == i else 0 for j in range(n)) for k in range(1, 9)]
+                  for i in range(n)]
+        least = [next(k for k, m in enumerate(ms) if nf[m] is not None) for ms in powers]
+        assert cap == max(least)
+        assert all(e <= cap for ms in powers for m in ms if nf[m] is not None
+                   for r in nf[m].terms for e in r)
+
     @pytest.mark.parametrize("names, f", [("xyz", "x*y"), ("xy", "0"), ("", "0")])
     def test_other_potentials_take_the_chains(self, names, f):
         ctx = ring(*names)

@@ -101,6 +101,12 @@ class TestFormSyntax:
 
     def test_reordering_sign(self):
         assert parse_form("dy^dx", CTX) == parse_form("-dx^dy", CTX)
+        assert parse_form("dz^dx^dy", CTX) == parse_form("dx^dy^dz", CTX)
+        assert parse_form("dz^dy^dx", CTX) == parse_form("-dx^dy^dz", CTX)
+
+    def test_repeated_differential_is_zero(self):
+        assert parse_form("dx^dy^dx", CTX).is_zero()
+        assert parse_form("2*dx^dy^dx + x*dz^dz - dy", CTX) == parse_form("-dy", CTX)
 
     def test_zero(self):
         assert parse_form("0", CTX).is_zero()
@@ -397,6 +403,58 @@ class TestWedgeKernelOracle:
             got = _trace_of_product(S, T)
             assert got == want
             assert got == graded_trace(fm_mul(S, T))
+
+    @pytest.mark.parametrize("var", [0, 3])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_exponent_sums_at_a_power_of_two(self, var, k, extra):
+        # fields are as wide as the largest exponent of S plus that of T:
+        # a sum of 2^k - 1 fills every bit of a k-bit field, one of 2^k
+        # takes a (k+1)-bit field; on the first and on the last variable,
+        # with every other field in use beside it
+        top = 2 ** k + extra
+        e = [0] * 4
+        e[var] = top - top // 2
+        a = Form(CTX4, {
+            (1,): Poly(CTX4, {tuple(e): Fraction(3, 2), (1, 1, 1, 1): 1}),
+            (): Poly(CTX4, {(0, 2, 1, 0): -1}),
+        })
+        e[var] = top // 2
+        b = Form(CTX4, {
+            (0,): Poly(CTX4, {tuple(e): 1, (0, 0, 0, 0): 2}),
+            (2, 3): Poly(CTX4, {(1, 0, 0, 1): -5}),
+        })
+        got = wedge(a, b)
+        assert got == _ref_wedge(a, b)
+        assert tuple(top if i == var else 0 for i in range(4)) in got.components[(0, 1)].terms
+        S = FormMatrix(CTX4, 2, 2, [[a, b], [b, Form.zero(CTX4)]])
+        T = FormMatrix(CTX4, 2, 1, [[b], [a]])
+        assert fm_mul(S, T) == FormMatrix(CTX4, 2, 1, _ref_mul(S, T))
+
+    def test_exponent_of_fifty_digits(self):
+        big = 10 ** 50 + 7
+        a = parse_form(f"x^{big}*dy + z^2*w", CTX4)
+        b = parse_form(f"(x^{big + 1} + 3*w^{big})*dz - y*dx", CTX4)
+        got = wedge(a, b)
+        assert got == _ref_wedge(a, b)
+        assert (2 * big + 1, 0, 0, 0) in got.components[(1, 2)].terms
+        S = FormMatrix(CTX4, 1, 2, [[a, b]])
+        T = FormMatrix(CTX4, 2, 2, [[b, a], [a, b]])
+        assert fm_mul(S, T) == FormMatrix(CTX4, 1, 2, _ref_mul(S, T))
+
+    def test_no_variables(self):
+        # only 0-forms over RingCtx(()), each monomial the empty tuple
+        ctx = ring()
+        rng = random.Random(60)
+        for shape in ((1, 1, 1), (2, 3, 2)):
+            r, k, c = shape
+            S, T = _rational_matrix(rng, r, k, ctx, 0), _rational_matrix(rng, k, c, ctx, 0)
+            assert fm_mul(S, T) == FormMatrix(ctx, r, c, _ref_mul(S, T))
+            for a, b in zip(S.entries[0], T.entries[0]):
+                assert wedge(a, b) == _ref_wedge(a, b)
+        three = Form.from_poly(Poly.const(ctx, 3))
+        assert wedge(three, three) == Form.from_poly(Poly.const(ctx, 9))
+        assert wedge(three, Form.zero(ctx)).is_zero()
 
     def test_wedge_past_eight_variables(self):
         # bit positions 8..11 and index tuples of up to six entries on each side
