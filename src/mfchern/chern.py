@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .exterior import (
-    Form, FormMatrix, _Packing, _largest, _wedge_forms, _wedge_sums, exterior_derivative,
+    Form, FormMatrix, _Packing, _largest, _wedge_sums, exterior_derivative,
     fm_exterior_derivative, fm_mul, wedge,
 )
 from .ideals import _Memo, _jacobian_normal_forms, df_form, form_normal_form
@@ -367,11 +367,6 @@ def _power_traces(S: FormMatrix, T: FormMatrix, wanted, nf, cap=0) -> list:
     return packing.forms(ctx, traces)
 
 
-def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:
-    """tr(S.T) from the diagonal entries of the product alone."""
-    return _wedge_forms(S.ctx, S.entries, T.entries, [[(i, i) for i in range(S.rows)]])[0]
-
-
 # ---------------------------------------------------------------------------
 # classical Chern-Weil character of an idempotent
 # ---------------------------------------------------------------------------
@@ -379,8 +374,10 @@ def _trace_of_product(S: FormMatrix, T: FormMatrix) -> Form:
 def classical_chern(e: PolyMatrix) -> Form:
     """tr(exp(R)) for the projective module Im(e) with its induced connection.
 
-    R is realized as e.(de).(de); the result is truncated at the variable
-    count and every even component is a de Rham cycle.
+    R is realized as e.(de).(de); e commutes with de.de, so tr(R^k) =
+    tr(X^k) for X = (e.de).de, and one power chain (:func:`_power_traces`)
+    gives every k.  The result is truncated at the variable count and every
+    even component is a de Rham cycle.
     """
     if e.rows != e.cols:
         raise RingError("idempotent must be square")
@@ -388,12 +385,10 @@ def classical_chern(e: PolyMatrix) -> Form:
         raise RingError("matrix is not idempotent")
     E = _as_forms(e)
     de = fm_exterior_derivative(E)
-    de2 = fm_mul(de, de)
     total = Form.from_poly(e.trace())
-    power = FormMatrix.identity(e.ctx, e.rows)
-    for k in range(1, e.ctx.nvars // 2 + 1):
-        power = fm_mul(power, de2)
-        total = total + _trace_of_product(E, power).scale(Fraction(1, math.factorial(k)))
+    traces = _power_traces(fm_mul(E, de), de, range(1, e.ctx.nvars // 2 + 1), None)
+    for k, t in enumerate(traces, start=1):
+        total = total + t.scale(Fraction(1, math.factorial(k)))
     return total
 
 

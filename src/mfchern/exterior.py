@@ -35,41 +35,35 @@ class Form(Frozen):
                 raise RingError(f"form coefficient {p!r} is not a Poly")
             if p.ctx != ctx:
                 raise RingError("form coefficient in wrong ring")
-            if idx in acc:
-                acc[idx] = acc[idx] + p
-            else:
-                acc[idx] = p
+            acc[idx] = acc[idx] + p if idx in acc else p
         super().__init__(ctx, {i: p for i, p in acc.items() if not p.is_zero()})
 
     @classmethod
     def _trusted(cls, ctx: RingCtx, components: dict) -> "Form":
         """Internal constructor for results of arithmetic on valid Forms.
 
-        ``components`` must be a fresh dict from strictly increasing index
-        tuples to Polys of ``ctx``; only zero coefficients are dropped.
+        ``components`` must be a dict from strictly increasing index tuples
+        to Polys of ``ctx``; only zero coefficients are dropped.
         """
-        w = object.__new__(cls)
-        object.__setattr__(w, "ctx", ctx)
-        object.__setattr__(
-            w, "components", {i: p for i, p in components.items() if p.terms}
-        )
-        return w
+        return cls._make(ctx, {i: p for i, p in components.items() if p.terms})
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "Form":
-        return cls(ctx)
+        return cls._make(ctx, {})
 
     @classmethod
     def one(cls, ctx: RingCtx) -> "Form":
-        return cls(ctx, {(): Poly.one(ctx)})
+        return cls._make(ctx, {(): Poly.one(ctx)})
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Form":
-        return cls(p.ctx, {(): p})
+        return cls._make(p.ctx, {(): p} if p.terms else {})
 
     @classmethod
     def d_var(cls, ctx: RingCtx, i: int) -> "Form":
-        return cls(ctx, {(i,): Poly.one(ctx)})
+        if not 0 <= i < ctx.nvars:
+            raise RingError("form index out of range")
+        return cls._make(ctx, {(i,): Poly.one(ctx)})
 
     def is_zero(self) -> bool:
         return not self.components
@@ -84,7 +78,7 @@ class Form(Frozen):
         return degs.pop()
 
     def degree_component(self, k: int) -> "Form":
-        return Form(
+        return Form._make(
             self.ctx, {i: p for i, p in self.components.items() if len(i) == k}
         )
 
@@ -203,9 +197,9 @@ class FormMatrix(Matrix):
 
     @classmethod
     def from_poly_rows(cls, ctx, rows, cols, poly_rows):
-        return cls(
-            ctx, rows, cols,
-            [[Form.from_poly(p) for p in row] for row in poly_rows],
+        """The entries ``poly_rows`` of a rows x cols PolyMatrix as 0-forms."""
+        return cls._make(
+            ctx, rows, cols, tuple(tuple(map(Form.from_poly, row)) for row in poly_rows)
         )
 
     def scale(self, c) -> "FormMatrix":
@@ -221,15 +215,16 @@ def fm_mul(S: FormMatrix, T: FormMatrix) -> FormMatrix:
     cols = T.cols
     cells = [((i, j),) for i in range(S.rows) for j in range(cols)]
     flat = _wedge_forms(S.ctx, S.entries, T.entries, cells)
-    return FormMatrix(
-        S.ctx, S.rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(S.rows)]
+    return FormMatrix._make(
+        S.ctx, S.rows, cols,
+        tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(S.rows)),
     )
 
 
 # ---------------------------------------------------------------------------
-# the wedge-product kernel behind wedge, fm_mul, the trace of a product and
-# the Chern power chains; the caches on index bitmasks hold at most 3^nvars
-# entries
+# the wedge-product kernel behind wedge, fm_mul and the Chern power chains
+# (classical_chern's too); the caches on index bitmasks hold at most
+# 3^nvars entries
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -312,7 +307,7 @@ class _Packing(dict):
                         poly[self[u]] = (
                             c if type(c) is int or c.denominator != 1 else c.numerator
                         )
-                comps[_index_tuple(m)] = Poly._raw(ctx, poly)
+                comps[_index_tuple(m)] = Poly._make(ctx, poly)
             out.append(Form._trusted(ctx, comps))
         return out
 

@@ -347,17 +347,6 @@ def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
     return tuple(basis.vector(rem, d) for _, rem, d in out), reduced
 
 
-def _handed(cls, basis: _Basis, *values):
-    """The ``cls`` value of the fields ``values`` with the engine basis
-    ``basis`` of a run, as it is: the internal constructor, which skips
-    packing the public generators again."""
-    gb = object.__new__(cls)
-    for name, v in zip(cls._fields, values):
-        object.__setattr__(gb, name, v)
-    object.__setattr__(gb, "_basis", basis)
-    return gb
-
-
 def _vectors(gb):
     """``(rank, generator vectors)`` of a GroebnerBasis or ModuleGB."""
     if isinstance(gb, GroebnerBasis):
@@ -404,7 +393,9 @@ def buchberger(gens, ctx: RingCtx) -> GroebnerBasis:
     if any(g.ctx != ctx for g in gens):
         raise RingError("generator in wrong ring context")
     vectors, basis = _reduced_basis([(g,) for g in gens], 1, ctx)
-    return _handed(GroebnerBasis, basis, ctx, tuple(v[0] for v in vectors))
+    gb = GroebnerBasis._make(ctx, tuple(v[0] for v in vectors))
+    object.__setattr__(gb, "_basis", basis)  # the run's basis, not packed again
+    return gb
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -462,7 +453,9 @@ def module_buchberger(vectors, ambient_rank: int, ctx: RingCtx) -> ModuleGB:
     if any(len(v) != ambient_rank for v in vectors):
         raise RingError("vector length does not match ambient rank")
     generators, basis = _reduced_basis(vectors, ambient_rank, ctx)
-    return _handed(ModuleGB, basis, ctx, ambient_rank, generators)
+    gb = ModuleGB._make(ctx, ambient_rank, generators)
+    object.__setattr__(gb, "_basis", basis)  # the run's basis, not packed again
+    return gb
 
 
 def module_normal_form(v, mgb: ModuleGB):
@@ -566,4 +559,4 @@ def form_normal_form(w: Form, f: Poly) -> Form:
     mgb = _cached_df_image_gb(f, k)
     subsets = k_subsets(ctx, k)
     nf = module_normal_form(_coordinates(w, subsets), mgb)
-    return Form(ctx, {s: p for s, p in zip(subsets, nf) if not p.is_zero()})
+    return Form._make(ctx, {s: p for s, p in zip(subsets, nf) if p.terms})

@@ -27,16 +27,13 @@ class PolyMatrix(Matrix):
             raise RingError(
                 f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero(self.ctx)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ctx, self.rows, other.cols, out)
+        zero, rhs = Poly.zero(self.ctx), other.entries
+        out = tuple(
+            tuple(sum((a * rhs[k][j] for k, a in enumerate(row)), zero)
+                  for j in range(other.cols))
+            for row in self.entries
+        )
+        return PolyMatrix._make(self.ctx, self.rows, other.cols, out)
 
     def scale(self, p) -> "PolyMatrix":
         return self.map_entries(lambda e: e * p)
@@ -45,17 +42,13 @@ class PolyMatrix(Matrix):
         """Kronecker product, left factor major (basis e_i (x) f_j)."""
         if self.ctx != other.ctx:
             raise RingError("mismatched ring contexts")
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[None] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                for a in range(other.rows):
-                    for b in range(other.cols):
-                        out[i * other.rows + a][j * other.cols + b] = (
-                            self.entries[i][j] * other.entries[a][b]
-                        )
-        return PolyMatrix(self.ctx, rows, cols, out)
+        out = tuple(
+            tuple(p * q for p in row for q in orow)
+            for row in self.entries for orow in other.entries
+        )
+        return PolyMatrix._make(
+            self.ctx, self.rows * other.rows, self.cols * other.cols, out
+        )
 
 
 def _check_f_identity(prod: PolyMatrix, f: Poly, label: str):

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, log2
-from operator import add, attrgetter
+from operator import add, attrgetter, neg
 from typing import Mapping, Union
 
 # Exact big rationals.  gcd-reduced, positive denominator, 0 == 0/1: the
@@ -54,8 +54,10 @@ class ParseError(RingError):
 class Frozen:
     """An immutable value.  A subclass writes ``__slots__ = _fields = (...)``,
     at least two names, and lists a derived slot, such as a cache, in
-    ``__slots__`` only.  The constructor sets the fields in order, then calls
-    the check ``__post_init__``."""
+    ``__slots__`` only.  Checked where values enter, trusted once derived:
+    the constructor, for a caller's values, sets the fields in order, then
+    calls the check ``__post_init__``; :meth:`_make` builds a value the
+    library derives from values it already holds, and checks nothing."""
 
     __slots__ = _fields = ()
 
@@ -70,6 +72,15 @@ class Frozen:
         for name, v in zip(self._fields, values):
             object.__setattr__(self, name, v)
         self.__post_init__()
+
+    @classmethod
+    def _make(cls, *values):
+        """The unchecked constructor: sets the fields in order, runs neither
+        ``__init__`` nor ``__post_init__``; values in their stored form."""
+        obj = object.__new__(cls)
+        for name, v in zip(cls._fields, values):
+            object.__setattr__(obj, name, v)
+        return obj
 
     def __post_init__(self):
         pass
@@ -144,6 +155,15 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
+def _scalar(c) -> Scalar:
+    """A caller's int or Fraction as a coefficient; anything else is a RingError."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, (int, Fraction)):
+        raise RingError(f"coefficient {c!r} is not an int or Fraction")
+    return Fraction(c)
+
+
 def _canonical(terms: dict) -> dict:
     """The nonzero terms, with integral Fraction coefficients made int."""
     return {
@@ -169,11 +189,7 @@ class Poly(Frozen):
                 if all(isinstance(e, int) for e in m):
                     raise RingError("negative exponent in monomial")
                 raise RingError(f"exponent in monomial {m} is not an int")
-            if type(c) is not int:
-                if not isinstance(c, (int, Fraction)):
-                    raise RingError(f"coefficient {c!r} is not an int or Fraction")
-                c = Fraction(c)
-            acc[m] = acc.get(m, 0) + c
+            acc[m] = acc.get(m, 0) + _scalar(c)
         super().__init__(ctx, _canonical(acc))
 
     # -- constructors ------------------------------------------------------
@@ -185,28 +201,19 @@ class Poly(Frozen):
         zero coefficients are dropped and integral ones made int, nothing
         else is checked.
         """
-        return cls._raw(ctx, _canonical(terms))
-
-    @classmethod
-    def _raw(cls, ctx: RingCtx, terms: dict) -> "Poly":
-        """:meth:`_trusted` for a fresh ``terms`` dict that is canonical
-        already: no zero coefficient and no integral Fraction."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "ctx", ctx)
-        object.__setattr__(p, "terms", terms)
-        return p
+        return cls._make(ctx, _canonical(terms))
 
     @classmethod
     def zero(cls, ctx: RingCtx) -> "Poly":
-        return cls(ctx)
+        return cls._make(ctx, {})
 
     @classmethod
     def const(cls, ctx: RingCtx, c) -> "Poly":
-        return cls(ctx, {(0,) * ctx.nvars: c})
+        return cls._trusted(ctx, {(0,) * ctx.nvars: _scalar(c)})
 
     @classmethod
     def one(cls, ctx: RingCtx) -> "Poly":
-        return cls.const(ctx, 1)
+        return cls._make(ctx, {(0,) * ctx.nvars: 1})
 
     @classmethod
     def variable(cls, ctx: RingCtx, i: int) -> "Poly":
@@ -214,7 +221,7 @@ class Poly(Frozen):
             raise RingError("variable index out of range")
         m = [0] * ctx.nvars
         m[i] = 1
-        return cls(ctx, {tuple(m): 1})
+        return cls._make(ctx, {tuple(m): 1})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -624,12 +631,19 @@ def print_poly(p: Poly) -> str:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _check_sizes(*sizes):
+    if min(sizes, default=0) < 0:
+        raise RingError("negative matrix shape")
+
+
 class Matrix(Frozen):
-    """Immutable rectangular matrix over a ring context, with explicit shape.
+    """Immutable rectangular matrix over a ring context, with explicit shape;
+    ``entries`` is a tuple of row tuples.
 
     Subclasses fix the entry type in ``_kind`` (a class with ``ctx``,
     ``zero(ctx)``, ``one(ctx)``, ``+``, unary ``-`` and ``is_zero``) and add
-    their own products and scaling.
+    their own products and scaling.  The constructor checks a caller's grid
+    entry by entry; every matrix derived from valid ones is :meth:`_make`-built.
     """
 
     __slots__ = _fields = ("ctx", "rows", "cols", "entries")
@@ -637,8 +651,7 @@ class Matrix(Frozen):
 
     def __init__(self, ctx: RingCtx, rows: int, cols: int, entries):
         entries = tuple(tuple(row) for row in entries)
-        if rows < 0 or cols < 0:
-            raise RingError("negative matrix shape")
+        _check_sizes(rows, cols)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise RingError("entry grid does not match declared shape")
         kind = self._kind
@@ -656,17 +669,19 @@ class Matrix(Frozen):
     # -- constructors ------------------------------------------------------
     @classmethod
     def zeros(cls, ctx, rows, cols):
-        z = cls._kind.zero(ctx)
-        return cls(ctx, rows, cols, [[z] * cols for _ in range(rows)])
+        _check_sizes(rows, cols)
+        return cls._make(ctx, rows, cols, ((cls._kind.zero(ctx),) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, ctx, size, d):
         """d on the diagonal of a size x size matrix, zero elsewhere."""
+        _check_sizes(size)
+        if not isinstance(d, cls._kind) or d.ctx != ctx:
+            raise RingError(f"diagonal entry is not a {cls._kind.__name__} of this ring")
         z = cls._kind.zero(ctx)
-        return cls(
-            ctx, size, size,
-            [[d if i == j else z for j in range(size)] for i in range(size)],
-        )
+        return cls._make(ctx, size, size, tuple(
+            tuple(d if i == j else z for j in range(size)) for i in range(size)
+        ))
 
     @classmethod
     def identity(cls, ctx, size):
@@ -675,14 +690,22 @@ class Matrix(Frozen):
     @classmethod
     def blocks(cls, ctx, row_sizes, col_sizes, placed):
         """The block matrix with block rows of ``row_sizes`` and block columns
-        of ``col_sizes``: ``placed`` maps a position (i, j) to its block, and
-        every block that is not placed is zero."""
+        of ``col_sizes``: ``placed`` maps a position (i, j) to its block, a
+        matrix of this class over ctx, and every block that is not placed is
+        zero."""
+        _check_sizes(*row_sizes, *col_sizes)
         row_off, col_off = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
         z = cls._kind.zero(ctx)
         grid = [[z] * col_off[-1] for _ in range(row_off[-1])]
         for (i, j), blk in placed.items():
             if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)):
                 raise RingError(f"block ({i}, {j}) lies outside the block grid")
+            if not isinstance(blk, cls):
+                raise RingError(
+                    f"block ({i}, {j}) is a {type(blk).__name__}, not a {cls.__name__}"
+                )
+            if blk.ctx != ctx:
+                raise RingError(f"block ({i}, {j}) in wrong ring context")
             if (blk.rows, blk.cols) != (row_sizes[i], col_sizes[j]):
                 raise RingError(
                     f"block ({i}, {j}) is {blk.rows}x{blk.cols}, "
@@ -690,13 +713,14 @@ class Matrix(Frozen):
                 )
             for r, row in enumerate(blk.entries, start=row_off[i]):
                 grid[r][col_off[j]:col_off[j + 1]] = row
-        return cls(ctx, row_off[-1], col_off[-1], grid)
+        return cls._make(ctx, row_off[-1], col_off[-1], tuple(map(tuple, grid)))
 
     def map_entries(self, fn, ctx: RingCtx = None):
-        """fn applied to every entry; the result lives over ctx if given."""
-        return type(self)(
+        """fn applied to every entry; the result lives over ctx if given.  fn
+        must give entries of this kind over that ring: they are not checked."""
+        return self._make(
             self.ctx if ctx is None else ctx, self.rows, self.cols,
-            [[fn(e) for e in row] for row in self.entries],
+            tuple(tuple(map(fn, row)) for row in self.entries),
         )
 
     # -- arithmetic --------------------------------------------------------
@@ -708,14 +732,13 @@ class Matrix(Frozen):
 
     def __add__(self, other):
         self._shape_eq(other)
-        return type(self)(
+        return self._make(
             self.ctx, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)],
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
 
     def __neg__(self):
-        return self.map_entries(lambda e: -e)
+        return self.map_entries(neg)
 
     def __sub__(self, other):
         return self + (-other)

@@ -393,14 +393,14 @@ class TestWedgeKernelOracle:
 
     @pytest.mark.parametrize("size", [0, 1, 3, 5])
     def test_trace_of_product(self, size):
-        from mfchern.chern import _trace_of_product
+        from mfchern.chern import _power_traces
 
         rng = random.Random(100 + size)
         for _ in range(5):
             S, T = _rational_matrix(rng, size, size), _rational_matrix(rng, size, size)
             ref = _ref_mul(S, T)
             want = _ref_sum(CTX4, [ref[i][i] for i in range(size)])
-            got = _trace_of_product(S, T)
+            got = _power_traces(S, T, [1], None)[0]
             assert got == want
             assert got == graded_trace(fm_mul(S, T))
 

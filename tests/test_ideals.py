@@ -551,7 +551,8 @@ class TestPackedEngine:
         f = parse_poly("(x^2 + y*z)*(z^2 + x + y^2)", CTX3)
         mgb = df_image_module_gb(f, 2)
         ctx, rank, gens = mgb.ctx, mgb.ambient_rank, list(mgb.generators)
-        handed = ideals_module._handed(ModuleGB, mgb._basis, ctx, rank, tuple(gens))
+        handed = ModuleGB._make(ctx, rank, tuple(gens))
+        object.__setattr__(handed, "_basis", mgb._basis)
         assert is_groebner(handed)
         # double one tail coefficient: the public generator is still monic
         # and reduced, but no longer part of a Groebner basis
@@ -562,7 +563,8 @@ class TestPackedEngine:
             Poly(ctx, {m: c if (j, m) == lead else 2 * c for m, c in p.terms.items()})
             for j, p in enumerate(gens[i])
         )
-        tampered = ideals_module._handed(ModuleGB, mgb._basis, ctx, rank, tuple(gens))
+        tampered = ModuleGB._make(ctx, rank, tuple(gens))
+        object.__setattr__(tampered, "_basis", mgb._basis)
         assert not is_groebner(tampered)
 
     def test_df_image_vectors_match_wedge(self):

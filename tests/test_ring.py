@@ -209,6 +209,24 @@ class TestConstructorBoundary:
         with pytest.raises(RingError, match="not an int or Fraction"):
             Poly(CTX, {(1, 0, 0): coeff})
 
+    @pytest.mark.parametrize("coeff", [0.5, "2", None])
+    def test_const_refuses_a_coefficient_that_is_not_exact(self, coeff):
+        with pytest.raises(RingError, match="not an int or Fraction"):
+            Poly.const(CTX, coeff)
+
+    def test_const_is_canonical(self):
+        assert Poly.const(CTX, Fraction(4, 2)).terms == {(0, 0, 0): 2}
+        assert type(Poly.const(CTX, Fraction(4, 2)).terms[(0, 0, 0)]) is int
+        assert Poly.const(CTX, 0) == Poly.zero(CTX) == Poly(CTX)
+        assert Poly.const(CTX, True) == Poly.one(CTX) == Poly(CTX, {(0, 0, 0): 1})
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_variable_refuses_an_index_out_of_range(self, i):
+        with pytest.raises(RingError, match="out of range"):
+            Poly.variable(CTX, i)
+        with pytest.raises(RingError, match="out of range"):
+            Form.d_var(CTX, i)
+
     def test_accepts_ints_and_fractions(self):
         p = Poly(CTX, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 3), (0, 0, 1): 5})
         assert p.terms == {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 1): 5}
@@ -428,6 +446,28 @@ class TestMatrix:
     def test_rejects_entry_of_another_ring(self, cls, entry, text):
         with pytest.raises(RingError, match="wrong ring context"):
             cls(CTX, 1, 1, cls.identity(ring("u"), 1).entries)
+
+    def test_blocks_refuses_a_block_of_the_other_kind(self, cls, entry, text):
+        other = FormMatrix if cls is PolyMatrix else PolyMatrix
+        with pytest.raises(RingError, match=rf"block \(1, 0\) is a {other.__name__}"):
+            cls.blocks(CTX, (1, 1), (1,), {(0, 0): cls.identity(CTX, 1),
+                                          (1, 0): other.identity(CTX, 1)})
+
+    def test_blocks_refuses_a_block_over_another_ring(self, cls, entry, text):
+        with pytest.raises(RingError, match=r"block \(0, 0\) in wrong ring context"):
+            cls.blocks(CTX, (1,), (1,), {(0, 0): cls.identity(ring("u"), 1)})
+
+    def test_diagonal_refuses_an_entry_of_the_other_kind_or_ring(self, cls, entry, text):
+        other = form_entry("dx") if cls is PolyMatrix else poly_entry("x")
+        for d in (other, cls._kind.one(ring("u"))):
+            with pytest.raises(RingError, match="diagonal entry"):
+                cls.diagonal(CTX, 2, d)
+
+    def test_sized_constructors_refuse_a_negative_size(self, cls, entry, text):
+        for build in (lambda: cls.zeros(CTX, 1, -1), lambda: cls.identity(CTX, -1),
+                      lambda: cls.blocks(CTX, (2, -1), (1,), {})):
+            with pytest.raises(RingError, match="negative matrix shape"):
+                build()
 
     def test_identity_trace_and_arithmetic(self, cls, entry, text):
         m = cls(CTX, 2, 2, [[entry(text), entry("1")], [entry("y"), entry(text)]])
