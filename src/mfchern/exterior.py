@@ -86,14 +86,18 @@ class Form(Frozen):
         return sorted({len(i) for i in self.components})
 
     def __add__(self, other: "Form") -> "Form":
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise RingError("mismatched ring contexts")
+        if not (self.components and other.components):  # a zero side: no copy
+            return other if other.components else self
         acc = dict(self.components)
         for i, p in other.components.items():
             acc[i] = acc[i] + p if i in acc else p
         return Form._trusted(self.ctx, acc)
 
     def __neg__(self) -> "Form":
+        if not self.components:
+            return self
         return Form._trusted(self.ctx, {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other: "Form") -> "Form":
@@ -117,20 +121,31 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def exterior_derivative(a: Form) -> Form:
+    """d a in one pass over the terms: c*x^m at dx_idx gives +-c*m_i*x^(m - e_i)
+    at dx_(idx | {i}) for each i not in idx with m_i > 0 (:func:`_d_slots`)."""
+    if not a.components:  # d0 = 0, nothing to build
+        return a
     acc = {}
     for idx, p in a.components.items():
-        for i in range(a.ctx.nvars):
-            if i in idx:
-                continue
-            dp = p.partial_derivative(i)
-            if dp.is_zero():
-                continue
-            # dx_i wedged in front of dx_idx, then sorted into place
-            if sum(1 for j in idx if j < i) % 2:
-                dp = -dp
-            new = tuple(sorted(idx + (i,)))
-            acc[new] = acc[new] + dp if new in acc else dp
-    return Form._trusted(a.ctx, acc)
+        slots = _d_slots(idx, a.ctx.nvars)
+        for m, c in p.terms.items():
+            for i, new, neg in slots:
+                e = m[i]
+                if e:
+                    dm = (*m[:i], e - 1, *m[i + 1:])
+                    dst = acc.setdefault(new, {})
+                    dc = -c * e if neg else c * e
+                    dst[dm] = dst[dm] + dc if dm in dst else dc
+    return Form._trusted(a.ctx, {new: Poly._trusted(a.ctx, t) for new, t in acc.items()})
+
+
+@lru_cache(maxsize=None)
+def _d_slots(idx: tuple, nvars: int) -> tuple:
+    """``(i, idx | {i}, dx_i ^ dx_idx == -dx_(idx | {i}))`` for each i not in idx."""
+    return tuple(
+        (i, tuple(sorted(idx + (i,))), sum(j < i for j in idx) % 2 == 1)
+        for i in range(nvars) if i not in idx
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +371,12 @@ def _wedge_forms(ctx: RingCtx, S, T, cells) -> list:
     for grids S and T of Forms of ``ctx`` (see :func:`_wedge_sums`).
 
     Each operand entry is packed once, in fields as wide as the largest
-    exponent of S plus that of T."""
-    top_s, top_t = _largest(S), _largest(T)
-    if min(top_s, top_t) < 0:  # a side with no term forms no product
-        return [Form._trusted(ctx, {}) for _ in cells]
+    exponent of S plus that of T.  Once either side has no term, every cell
+    is one shared zero Form, and nothing is packed."""
+    top_s = _largest(S)
+    top_t = _largest(T) if top_s >= 0 else -1
+    if top_t < 0:
+        return [Form.zero(ctx)] * len(cells)
     packing = _Packing(ctx.nvars, top_s + top_t)
     return packing.forms(ctx, _wedge_sums(packing.flat(S), packing.flat(T), cells))
 

@@ -65,12 +65,14 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         # the field tuple; with two or more names attrgetter returns a tuple
         cls._values = staticmethod(attrgetter(*cls._fields))
+        # each field's slot setter, which bypasses __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
-        for name, v in zip(self._fields, values):
-            object.__setattr__(self, name, v)
+        for put, v in zip(self._setters, values):
+            put(self, v)
         self.__post_init__()
 
     @classmethod
@@ -78,8 +80,8 @@ class Frozen:
         """The unchecked constructor: sets the fields in order, runs neither
         ``__init__`` nor ``__post_init__``; values in their stored form."""
         obj = object.__new__(cls)
-        for name, v in zip(cls._fields, values):
-            object.__setattr__(obj, name, v)
+        for put, v in zip(cls._setters, values):
+            put(obj, v)
         return obj
 
     def __post_init__(self):

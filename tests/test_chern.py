@@ -85,6 +85,34 @@ class TestAtiyah:
         assert list(atiyah_powers(at, 3)) == dense
         assert len(calls) == 3
 
+    def test_gamma_zero_costs_no_product_and_no_partial(self, monkeypatch):
+        # under the default connection At01 = dA and At10 = dB: the four
+        # products by Gamma = 0 form no entry product, and d differentiates
+        # each term in place, without Poly.partial_derivative
+        from mfchern import exterior
+
+        M = _koszul_tower(4)
+        conn = connection_default(M)
+        want = atiyah(M, conn)
+        calls = {"fm_mul": 0, "_wedge_sums": 0, "partial_derivative": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(chern, "fm_mul", counted("fm_mul", fm_mul))
+        monkeypatch.setattr(
+            exterior, "_wedge_sums", counted("_wedge_sums", exterior._wedge_sums)
+        )
+        monkeypatch.setattr(
+            Poly, "partial_derivative", counted("partial_derivative", Poly.partial_derivative)
+        )
+        assert M.ctx.nvars == 8
+        assert atiyah(M, conn) == want
+        assert calls == {"fm_mul": 4, "_wedge_sums": 0, "partial_derivative": 0}
+
     def test_entries_are_one_forms(self, threevar_example):
         rng = random.Random(1)
         at = atiyah(threevar_example, random_connection(threevar_example, rng))

@@ -552,6 +552,106 @@ class TestWedgeKernelOracle:
         assert len(built) == 1
 
 
+def _ref_d(a):
+    """d a as the sum over i of dx_i ^ (d/dx_i a), through partial_derivative
+    and wedge."""
+    ctx, out = a.ctx, Form.zero(a.ctx)
+    for i in range(ctx.nvars):
+        di = Form(ctx, {idx: p.partial_derivative(i) for idx, p in a.components.items()})
+        out = out + wedge(Form.d_var(ctx, i), di)
+    return out
+
+
+def _d_form(rng, ctx, degree, fractions):
+    """Zero one time in eight; else up to three components of one degree,
+    each exponent 0, 2^k - 1 or 2^k, int or (when ``fractions``) Fraction
+    coefficients."""
+    if rng.random() < 0.125:
+        return Form.zero(ctx)
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        idx = tuple(sorted(rng.sample(range(ctx.nvars), degree)))
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            m = []
+            for _ in range(ctx.nvars):
+                k = rng.randint(0, 6)
+                m.append(rng.choice((0, 2 ** k - 1, 2 ** k)))
+            c = rng.randint(-5, 5)
+            terms[tuple(m)] = Fraction(c, rng.randint(1, 4)) if fractions else c
+        comps.append((idx, Poly(ctx, terms)))
+    return Form(ctx, comps)
+
+
+class TestExteriorDerivativeOracle:
+    @pytest.mark.parametrize("nvars", [0, 1, 4, 12])
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_exterior_derivative(self, nvars, fractions):
+        ctx = ring(*(f"x{i}" for i in range(nvars)))
+        rng = random.Random(10 * nvars + fractions)
+        non_integral = 0
+        for degree in range(nvars + 1):
+            for _ in range(4):
+                a = _d_form(rng, ctx, degree, fractions)
+                da = exterior_derivative(a)
+                assert da == _ref_d(a)
+                assert _canonical_scalars(_coefficients(da))
+                non_integral += sum(type(c) is Fraction for c in _coefficients(da))
+                assert exterior_derivative(da).is_zero()
+                # the graded Leibniz rule, a homogeneous of this degree
+                b = _d_form(rng, ctx, rng.randint(0, nvars), fractions)
+                db = exterior_derivative(b)
+                got = exterior_derivative(wedge(a, b))
+                assert got == wedge(da, b) + wedge(a, db).scale(-1 if degree % 2 else 1)
+                # and an inhomogeneous sum
+                assert exterior_derivative(a + b) == _ref_d(a + b)
+        assert (non_integral > 0) == (fractions and nvars > 0)
+
+    def test_cancelling_terms_leave_no_component(self):
+        # d(y dx + x dy) = 0: dy ^ dx and dx ^ dy meet at (0, 1) and cancel
+        w = parse_form("y*dx + x*dy", CTX)
+        assert exterior_derivative(w).components == {}
+
+
+class TestZeroPath:
+    """A side with no term: products, sums and negation of zero forms give
+    what the checked constructors give."""
+
+    @pytest.mark.parametrize("shape", [
+        (3, 3, 3), (2, 3, 4), (4, 1, 2), (0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0),
+    ])
+    def test_fm_mul_by_zero(self, shape):
+        rng = random.Random(200 + sum(shape))
+        r, k, c = shape
+        S, T = _rational_matrix(rng, r, k), _rational_matrix(rng, k, c)
+        zeros = FormMatrix.zeros(CTX4, r, c)
+        for P in (
+            fm_mul(FormMatrix.zeros(CTX4, r, k), T),
+            fm_mul(S, FormMatrix.zeros(CTX4, k, c)),
+            fm_mul(FormMatrix.zeros(CTX4, r, k), FormMatrix.zeros(CTX4, k, c)),
+        ):
+            assert P == zeros
+            assert P == FormMatrix(CTX4, r, c, [[Form(CTX4)] * c] * r)
+            assert all(e.components == {} for row in P.entries for e in row)
+
+    def test_sum_and_negation_of_zero(self):
+        rng = random.Random(210)
+        zero = Form.zero(CTX4)
+        for _ in range(20):
+            w = _rational_form(rng, CTX4)
+            checked = Form(CTX4, w.components)
+            negated = Form(CTX4, {i: -p for i, p in w.components.items()})
+            for got, want in ((w + zero, checked), (zero + w, checked),
+                              (w - zero, checked), (zero - w, negated)):
+                assert got == want
+                assert hash(got) == hash(want)
+        assert -zero == Form(CTX4) == zero + zero
+        with pytest.raises(RingError, match="mismatched"):
+            zero + Form.zero(CTX)
+        with pytest.raises(RingError, match="mismatched"):
+            Form.d_var(CTX, 0) + Form.zero(CTX4)
+
+
 # monomial memos for the chain helper, in the shape of
 # ideals._jacobian_normal_forms: None for a monomial no lead divides, else its
 # normal form, with no exponent above the cap passed along
