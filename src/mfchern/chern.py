@@ -246,26 +246,24 @@ def chern_character(M: MatFac, conn: Connection = None) -> HomologyClass:
     """ch(E) = sum (1/(2i)!) str(At^(2i)) as normal-form representatives.
 
     At is odd, [[0, At01], [At10, 0]] in the (E0, E1) splitting, so
-    At^(2i) = diag(X^i, Y^i) with X = At01.At10 and Y = At10.At01, and
+    At^(2i) = diag(X^i, Y^i) with X = At01.At10 and Y = At10.At01.  The
+    trace is graded-cyclic and Y^i = At10.(X^(i-1).At01) has two odd
+    factors, so Y^i and X^i have opposite traces and
 
-        str(At^(2i)) = tr(X^i) - tr(Y^i),   str(At^0) = r0 - r1,
+        str(At^(2i)) = 2 tr(X^i),   str(At^0) = r0 - r1,
 
     while odd powers have zero diagonal blocks and are never formed.  The
-    traces come from half-length power chains (:func:`_power_traces`) in
-    the packed form of the wedge kernel.  When n > 0 and the Jacobian ring
-    Q[x]/J_f is finite-dimensional (an isolated singularity), (Omega^*,
-    df^) is exact below degree n, so every lower class is zero and only
-    tr(X^(n/2)), tr(Y^(n/2)) are formed (none for odd n).  J_f.Omega^* is
-    an ideal of the exterior algebra and J_f.Omega^n = df^Omega^(n-1), so
-    there every product is reduced mod J_f, and so is every trace.  Every
-    other f forms every degree up to n, unreduced.
+    traces come from one half-length power chain (:func:`_power_traces`).
+    When n > 0 and the Jacobian ring Q[x]/J_f is finite-dimensional (an
+    isolated singularity), (Omega^*, df^) is exact below degree n, so
+    every lower class is zero and only tr(X^(n/2)) is formed (none for odd
+    n).  J_f.Omega^* is an ideal of the exterior algebra and J_f.Omega^n =
+    df^Omega^(n-1), so there every product is reduced mod J_f, and so is
+    every trace.  Every other f forms every degree up to n, unreduced.
 
-    Each formed degree re-verifies, on the traces the chains return, the
-    graded cyclicity tr(Y^i) = -tr(X^i) (mod J_f when reduced) and the
-    cycle condition df ^ str(At^(2i)) = 0, and raises
-    InternalConsistencyError if either fails: that means the library is
-    broken, not the input.  The dense path (atiyah_power, supertrace) stays
-    public as the independent oracle.
+    No call re-checks that cyclicity: it is a property of the wedge
+    kernel, not of the input.  The tests and the ``cycle`` suite check it
+    against the dense path (atiyah_power, supertrace), the public oracle.
     """
     at = atiyah(M, conn or connection_default(M))
     return HomologyClass(M.f, M.ctx.nvars, _cycles(at, _jacobian_normal_forms(M.f)))
@@ -275,27 +273,23 @@ def _cycles(at: AtiyahClass, jacobian) -> dict:
     """{2i: str(At^(2i)) / (2i)!} for 2i <= n.  ``jacobian`` is None or the
     monomial memo and exponent cap of ``ideals._jacobian_normal_forms``:
     when set, only degree n is formed (for even n), with every product
-    reduced, and lower degrees are zero."""
+    reduced, and lower degrees are zero.  df ^ str(At^(2i)) = 0 is checked
+    for 2 <= 2i < n, where a library fault can break it; in degree 0,
+    r0 - r1 = 0 unless f is constant and df = 0 (AB = f.I = BA), and in
+    degree n, df ^ s has degree n + 1.  So the reduced mode checks nothing.
+    """
     M = at.base
     ctx = M.ctx
     n = ctx.nvars
-    half = n // 2
     nf, cap = jacobian or (None, 0)
-    wanted = range(1, half + 1) if nf is None else ([half] if n % 2 == 0 else [])
-    a, b = at.block01, at.block10
-    tr_x = _power_traces(a, b, wanted, nf, cap)
-    tr_y = _power_traces(b, a, wanted, nf, cap)
-    strs = {0: Form.from_poly(Poly.const(ctx, M.r0 - M.r1))}
-    for i, tx, ty in zip(wanted, tr_x, tr_y):
-        if not (tx + ty).is_zero():
-            raise InternalConsistencyError(f"tr(Y^{i}) != -tr(X^{i})")
-        strs[2 * i] = tx - ty
-    df = df_form(M.f)
+    wanted = range(1, n // 2 + 1) if nf is None else ([n // 2] if n % 2 == 0 else [])
     cycles = dict.fromkeys(range(2, n + 1, 2), Form.zero(ctx))
-    for d, s in strs.items():
-        if not wedge(df, s).is_zero():
-            raise InternalConsistencyError(f"df ^ str(At^{d}) != 0")
-        cycles[d] = s.scale(Fraction(1, math.factorial(d)))
+    cycles[0] = Form.from_poly(Poly.const(ctx, M.r0 - M.r1))
+    df = df_form(M.f)
+    for i, t in zip(wanted, _power_traces(at.block01, at.block10, wanted, nf, cap)):
+        if 2 * i < n and not wedge(df, t).is_zero():
+            raise InternalConsistencyError(f"df ^ str(At^{2 * i}) != 0")
+        cycles[2 * i] = t.scale(Fraction(2, math.factorial(2 * i)))
     return cycles
 
 
@@ -627,11 +621,16 @@ def _suite_strictness(M, rng, partner):
 
 
 def _suite_cycle(M, rng, partner):
+    # even powers against the chain: graded cyclicity gives str(At^i) = 2 tr(X^(i/2))
     at = atiyah(M, connection_default(M))
     df = df_form(M.f)
+    tr_x = _power_traces(at.block01, at.block10, range(1, M.ctx.nvars // 2 + 1), None)
     for i, power in enumerate(atiyah_powers(at, M.ctx.nvars)):
-        if not wedge(df, supertrace(power, M.r0, M.r1)).is_zero():
+        s = supertrace(power, M.r0, M.r1)
+        if not wedge(df, s).is_zero():
             return f"df ^ str(At^{i}) != 0"
+        if i > 1 and i % 2 == 0 and s != tr_x[i // 2 - 1].scale(2):
+            return f"str(At^{i}) != 2 tr(X^{i // 2})"
     return None
 
 

@@ -324,17 +324,21 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("names, isolated", [("xy", True), ("xyz", False)])
     def test_trace_identity_check_fires(self, names, isolated, monkeypatch):
-        # skew the E1 chain only: tr(Y) = -tr(X) must then fail loudly, with
-        # products reduced mod J_f (x*y over x, y) and unreduced (x*y over
-        # x, y, z, whose Jacobian ring is infinite-dimensional)
+        # doubled chain products: chern_character, which checks no
+        # cyclicity, returns a doubled degree 2, reduced mod J_f (x*y over
+        # x, y) or not (x*y over x, y, z, whose Jacobian ring is
+        # infinite-dimensional); the cycle suite, which compares the chain
+        # with the dense power, fails
         M = mf_1x1(ring(*names), "x", "y")
         assert (chern._jacobian_normal_forms(M.f) is not None) == isolated
-        b = atiyah(M, connection_default(M)).block10
-        products = _chain_products(monkeypatch, skew=lambda S: S == b)
-        with pytest.raises(InternalConsistencyError, match="tr\\(Y"):
-            chern_character(M)
-        # one product per chain: the diagonals of At01.At10 and, skewed, At10.At01
-        assert len(products) == 2
+        two = chern_character(M).component(2)
+        assert not two.is_zero()
+        products = _chain_products(monkeypatch, skew=True)
+        assert chern_character(M).component(2) == two.scale(2)
+        del products[:]
+        assert chern.CHECK_SUITES["cycle"](M, None, None) == "str(At^2) != 2 tr(X^1)"
+        # one product: the diagonal of At01.At10
+        assert len(products) == 1
 
 
 def _chain_character(M, conn=None):
@@ -344,25 +348,19 @@ def _chain_character(M, conn=None):
     return HomologyClass(M.f, M.ctx.nvars, chern._cycles(at, None))
 
 
-def _chain_products(monkeypatch, skew=lambda S: False):
-    """A list that gets one entry per product the power chains form, seen at
-    their own product step (``chern._wedge_sums``).  Every product of a
-    chain whose first block S satisfies ``skew`` comes out doubled."""
-    calls, block = [], [None]
-    real_chain, real_sums = chern._power_traces, chern._wedge_sums
-
-    def chain(S, T, *args):
-        block[0] = S
-        return real_chain(S, T, *args)
+def _chain_products(monkeypatch, skew=False):
+    """A list that gets one entry per product the power chain forms, seen at
+    its own product step (``chern._wedge_sums``).  With ``skew``, every
+    product comes out doubled."""
+    calls, real_sums = [], chern._wedge_sums
 
     def sums(*args):
         calls.append(1)
         out = real_sums(*args)
-        if skew(block[0]):
+        if skew:
             out = [{m: {u: 2 * c for u, c in t.items()} for m, t in acc.items()} for acc in out]
         return out
 
-    monkeypatch.setattr(chern, "_power_traces", chain)
     monkeypatch.setattr(chern, "_wedge_sums", sums)
     return calls
 
@@ -469,9 +467,9 @@ class TestJacobianKernel:
         assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 0
 
     def test_chain_products_are_counted(self, monkeypatch):
-        # n = 4, reduced: each chain forms X, then the diagonal of X.X
+        # n = 4, reduced: one chain forms X, then the diagonal of X.X
         M = _koszul_tower(2)
-        assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 4
+        assert _products_past_atiyah(M, connection_default(M), monkeypatch) == 2
 
     def test_cycle_check_fires(self, monkeypatch):
         # a 2-form eta added to tr(X) and taken from tr(Y) keeps

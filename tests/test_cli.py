@@ -453,6 +453,10 @@ class TestCheck:
         "tower": ("phi_tilde_n",
                   lambda M, conn, n: chern.phi_tower_oracle(M, conn, n, rescale=False),
                   "tower oracle disagrees with the closed form"),
+        # a chain whose traces come out doubled
+        "cycle": ("_power_traces",
+                  lambda *args, real=chern._power_traces: [t.scale(2) for t in real(*args)],
+                  "str(At^2) != 2 tr(X^1)"),
     }
 
     @pytest.mark.parametrize("suite", FAILURES)
@@ -467,17 +471,22 @@ class TestCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_power_suites_take_one_product_a_power(self, n, monkeypatch):
         # past atiyah, odd climbs to the largest odd power <= n, and cycle
-        # to the n-th
+        # to the n-th; cycle's chain takes one diagonal product per trace
+        # tr(X^i), 2i <= n, and forms X itself at n = 4
         vs = ("x", "y", "z", "w")[:n]
         M = mf_1x1(ring(*vs), "x", "*".join(vs))
-        calls = []
+        calls, chain = [], []
         monkeypatch.setattr(chern, "fm_mul", lambda S, T: calls.append(1) or fm_mul(S, T))
+        sums = chern._wedge_sums
+        monkeypatch.setattr(chern, "_wedge_sums", lambda *a: chain.append(1) or sums(*a))
         chern.atiyah(M, chern.connection_default(M))
         in_atiyah = len(calls)
-        for suite, products in (("odd", n - 1 + n % 2), ("cycle", n)):
-            calls.clear()
+        expected = {"odd": (n - 1 + n % 2, 0), "cycle": (n, [0, 1, 1, 3][n - 1])}
+        for suite, (products, chained) in expected.items():
+            del calls[:], chain[:]
             assert chern.CHECK_SUITES[suite](M, None, None) is None
             assert len(calls) - in_atiyah == products
+            assert len(chain) == chained
 
     def test_deterministic_reports(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", KOSZUL)

@@ -551,6 +551,33 @@ class TestWedgeKernelOracle:
         assert len(_power_traces(X, I, [5], defaultdict(lambda: None))) == 1
         assert len(built) == 1
 
+    @pytest.mark.parametrize("ctx, shape", [
+        (CTX4, (2, 3)), (CTX4, (3, 1)), (CTX4, (1, 0)), (CTX4, (4, 4)), (CTX12, (3, 2)),
+    ], ids=["4-2x3", "4-3x1", "4-1x0", "4-4x4", "12-3x2"])
+    def test_power_traces_graded_cyclicity(self, ctx, shape):
+        # S (r0 x r1) and T (r1 x r0) of 1-forms: the trace is graded-cyclic,
+        # so tr((T.S)^i) = -tr((S.T)^i), unreduced and modulo (2y - x^3, x^8),
+        # and 2 tr((S.T)^i) is the supertrace of [[0, S], [T, 0]]^(2i), the
+        # dense power taken by the reference product
+        from mfchern.chern import _power_traces, supertrace
+
+        r0, r1 = shape
+        rng = random.Random(500 + 10 * r0 + r1 + ctx.nvars)
+        S, T = _one_form_matrix(rng, r0, r1, ctx), _one_form_matrix(rng, r1, r0, ctx)
+        memos = [(None, 0), (_Memo(_modulo_2y_x3), 7)] if ctx is CTX4 else [(None, 0)]
+        for w in (1, 2, 3):
+            for wanted in ([w], range(1, w + 1)):
+                for memo, cap in memos:
+                    got = _power_traces(S, T, wanted, memo, cap)
+                    assert got == [-t for t in _power_traces(T, S, wanted, memo, cap)]
+        at = FormMatrix.blocks(ctx, shape, shape, {(0, 1): S, (1, 0): T})
+        power = square = FormMatrix(ctx, r0 + r1, r0 + r1, _ref_mul(at, at))
+        traces = _power_traces(S, T, (1, 2, 3), None)
+        for t in traces:  # against At^2, At^4, At^6
+            assert supertrace(power, r0, r1) == t.scale(2)
+            power = FormMatrix(ctx, r0 + r1, r0 + r1, _ref_mul(power, square))
+        assert any(not t.is_zero() for t in traces) == (r0 * r1 > 0)
+
 
 def _ref_d(a):
     """d a as the sum over i of dx_i ^ (d/dx_i a), through partial_derivative
@@ -670,6 +697,22 @@ def _modulo_2y_x3(m):
     if a + 3 * b >= 8:
         return Poly.zero(CTX4)
     return Poly(CTX4, {(a + 3 * b, 0, c, d): Fraction(1, 2 ** b)})
+
+
+def _one_form_matrix(rng, rows, cols, ctx):
+    """Entries of degree 1 alone, zero a quarter of the time, else up to
+    three terms c x^m dx_k with m of exponents up to 2."""
+    def one_form():
+        if rng.random() < 0.25:
+            return Form.zero(ctx)
+        return Form(ctx, [
+            ((rng.randrange(ctx.nvars),),
+             Poly(ctx, {tuple(rng.randint(0, 2) for _ in range(ctx.nvars)):
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))}))
+            for _ in range(rng.randint(1, 3))
+        ])
+
+    return FormMatrix(ctx, rows, cols, [[one_form() for _ in range(cols)] for _ in range(rows)])
 
 
 def _running_traces(X, top):
