@@ -30,20 +30,28 @@ forms are exact.  S-pairs (same lead position only) wait in a heap,
 smallest lcm first, and are skipped by the chain criterion (Gebauer and
 Moeller 1988) and, in rank 1 only, by the coprime criterion.  The reduced
 basis and full normal forms are unique, so the pair order changes the cost,
-never the result.  A run hands its reduced basis to the result as it is;
-the verifier :func:`is_groebner` packs the public generators again.
+never the result.
+
+A run finishes in one pass over the generators with minimal leads.  A tail
+that no lead divides is its own normal form, so its generator joins the
+reduced basis as it is; only a tail that some lead divides is reduced and
+its generator added again.  Each public generator is unpacked and divided
+by its lead coefficient in one walk (:meth:`_Basis.vector`, the exit that
+normal forms take too).  A run hands its reduced basis to the result as it
+is; the verifier :func:`is_groebner` packs the public generators again.
 """
 from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import le, mul
 
 from .exterior import Form, exterior_derivative
-from .ring import Frozen, Poly, RingCtx, RingError, exact_div
+from .ring import Frozen, Poly, RingCtx, RingError
 
 
 class _Memo(dict):
@@ -161,14 +169,17 @@ class _Basis:
 
     def vector(self, terms: dict, d: int) -> tuple:
         """The vector of Polys ``terms / d``: the engine's exit edge, for an
-        integer term dict ``terms`` and a positive int ``d``."""
+        integer term dict ``terms`` with no zero value and a positive int
+        ``d``.  Each term is unpacked and divided in one walk: ``c // d``
+        when ``d`` divides ``c``, else the Fraction, so the coefficients are
+        canonical as they come."""
         P, flip, offsets, cap = self.P, self.flip, self.offsets, self.cap
         comps = [{} for _ in range(self.rank)]
         for t, c in terms.items():
             y = t ^ flip
             comps[t >> P][tuple([y >> s & cap for s in offsets])] = (
-                c if d == 1 else exact_div(c, d))
-        return tuple(Poly._trusted(self.ctx, c) for c in comps)
+                c // d if not c % d else Fraction(c, d))
+        return tuple([Poly._make(self.ctx, c) for c in comps])
 
     def add(self, terms: dict):
         """Append the integer term dict ``terms``, made primitive: content
@@ -184,9 +195,13 @@ class _Basis:
         tail = [(t, c) for t, c in terms.items() if t != lead]
         ds, cap = self.dshift, self.cap  # the degree field holds cap - deg
         top = (lead >> ds & cap) - min([t >> ds & cap for t in terms])
-        gen = (lead, lead + self.one, terms[lead], tail, top)
+        self.keep((lead, lead + self.one, terms[lead], tail, top))
+
+    def keep(self, gen):
+        """Append the engine generator ``gen`` of a basis at this width as
+        it is."""
         self.gens.append(gen)
-        self.by_pos.setdefault(lead >> self.P, []).append(gen)
+        self.by_pos.setdefault(gen[0] >> self.P, []).append(gen)
 
     def lcm(self, i: int, j: int) -> int:
         """The lcm of the leads of generators ``i`` and ``j``, which share a
@@ -328,23 +343,34 @@ def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
         r = basis.reduce(basis.s_vector(i, j, lcm))[0]
         if r:
             add(r)
-    # keep the minimal leads (the first of equal ones) and reduce their
-    # tails; a tail's normal form is the same modulo any Groebner basis,
-    # and the monic generator is lm + (normal form of tail) / a
-    out = []
-    for i, (lt, _, a, tail, _) in enumerate(gens):
+    # keep the minimal leads (the first of equal ones), sorted
+    kept = [
+        g for i, g in enumerate(gens)
         if not any(
-            (lt - gens[j][1]) & guard == zero and j != i and (gens[j][0] != lt or j < i)
-            for j in at[lt >> P]
-        ):
+            (g[0] - gens[j][1]) & guard == zero and j != i and (gens[j][0] != g[0] or j < i)
+            for j in at[g[0] >> P]
+        )
+    ]
+    kept.sort(key=lambda g: (g[0] >> P, -g[0]))
+    # a tail no lead divides is its own normal form, and its generator joins
+    # the reduced basis as it is; any other tail is reduced, which gives the
+    # same normal form modulo any Groebner basis, and the monic generator is
+    # lm + (normal form of tail) / a
+    reduced, by_pos = _Basis(ctx, rank, width), basis.by_pos
+    generators = []
+    for g in kept:
+        lt, _, a, tail, _ = g
+        if any((t - h[1]) & guard == zero for t, _ in tail for h in by_pos.get(t >> P, ())):
             rem, s = basis.reduce(dict(tail))
-            rem[lt] = a * s
-            out.append((lt, rem, a * s))
-    out.sort(key=lambda g: (g[0] >> P, -g[0]))
-    reduced = _Basis(ctx, rank, width)
-    for _, rem, _ in out:
-        reduced.add(rem)
-    return tuple(basis.vector(rem, d) for _, rem, d in out), reduced
+            a *= s
+            rem[lt] = a
+            reduced.add(rem)
+        else:
+            rem = dict(tail)
+            rem[lt] = a
+            reduced.keep(g)
+        generators.append(basis.vector(rem, a))
+    return tuple(generators), reduced
 
 
 def _vectors(gb):

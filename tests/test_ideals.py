@@ -590,3 +590,95 @@ class TestPackedEngine:
         nf = module_normal_form((Poly(ctx, {(8190,): 1}), Poly.zero(ctx)), mgb)
         assert nf == (Poly.zero(ctx), Poly(ctx, {(8196,): -1}))
         assert mgb._basis.width > width
+
+
+# ---------------------------------------------------------------------------
+# the finish of a run: the reduced basis and its monic public generators
+# ---------------------------------------------------------------------------
+
+def engine_form(gens):
+    """Engine generators ``(lt, lt + one, a, tail, top)``, each tail as a
+    dict: its order is not part of the basis."""
+    return [(lt, lo, a, dict(tail), top) for lt, lo, a, tail, top in gens]
+
+
+def assert_run_basis_is_the_repacked_generators(gb):
+    """The engine basis a run hands over equals its public generators
+    packed again at the run's width: same leads, lead coefficients, tails
+    and tops, position by position."""
+    rank, vectors = ideals_module._vectors(gb)
+    run = gb._basis
+    repacked = ideals_module._Basis(gb.ctx, rank, run.width, vectors)
+    assert engine_form(run.gens) == engine_form(repacked.gens)
+    assert ({p: engine_form(g) for p, g in run.by_pos.items()}
+            == {p: engine_form(g) for p, g in repacked.by_pos.items()})
+
+
+class TestFinish:
+    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
+    def test_random_modules_hand_over_their_public_generators(self, order):
+        rng = random.Random(f"finish:{order}")
+        for trial in range(10):
+            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            rank = 1 + trial % 3
+            gens = [
+                tuple(rand_rational_poly(rng, ctx) for _ in range(rank))
+                for _ in range(rng.randint(2, 3))
+            ]
+            mgb = module_buchberger(gens, rank, ctx)
+            assert is_groebner(mgb)
+            assert_run_basis_is_the_repacked_generators(mgb)
+            gb = buchberger([v[0] for v in gens], ctx)
+            assert_run_basis_is_the_repacked_generators(gb)
+
+    @pytest.mark.parametrize("f,k", DF_IMAGE_CASES, ids=CASE_IDS)
+    def test_df_image_bases_hand_over_their_public_generators(self, f, k):
+        assert_run_basis_is_the_repacked_generators(df_image_module_gb(f, k))
+
+    def test_a_tail_that_a_lead_divides_is_reduced(self):
+        x, y, xy = (parse_poly(s, CTX2) for s in ("x", "y", "x + y"))
+        gb = buchberger([xy, y], CTX2)
+        assert gb.generators == (y, x)  # ascending by lead
+        assert_run_basis_is_the_repacked_generators(gb)
+
+    def test_tails_that_no_lead_divides_are_kept_without_a_reduction(self, monkeypatch):
+        # leads x (position 0) and y^2 (position 1), no S-pair: neither
+        # tail y + 1 nor x has a term that a lead divides
+        def no_reduce(*args):
+            raise AssertionError("the finish reduced a tail")
+
+        monkeypatch.setattr(ideals_module._Basis, "reduce", no_reduce)
+        v, w = ((parse_poly(a, CTX2), parse_poly(b, CTX2)) for a, b in
+                (("2*x + 2*y", "2"), ("0", "3*y^2 - x")))
+        mgb = module_buchberger([v, w], 2, CTX2)
+        assert mgb.generators == (
+            (parse_poly("x + y", CTX2), Poly.one(CTX2)),
+            (Poly.zero(CTX2), parse_poly("y^2 - 1/3*x", CTX2)),
+        )
+        assert_run_basis_is_the_repacked_generators(mgb)
+
+
+class TestExitEdge:
+    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
+    def test_vector_divides_to_canonical_coefficients(self, order):
+        rng = random.Random(f"exit:{order}")
+        ctx = RingCtx(("x", "y", "z"), order)
+        for trial in range(60):
+            rank = rng.randint(1, 4)
+            d = rng.choice((1, 1, 2, 6, 12, 35))
+            v = []
+            for _ in range(rank):
+                terms = {}
+                for _ in range(rng.choice((0, 1, 3))):  # empty positions too
+                    m = tuple(rng.randint(0, 3) for _ in range(3))
+                    c = rng.choice((1, -1)) * rng.randint(1, 40)
+                    terms[m] = c * d if rng.random() < 0.4 else c  # d | c, or not
+                v.append(Poly(ctx, terms))
+            basis = ideals_module._Basis(ctx, rank, 8)
+            out = basis.vector(basis.terms(v), d)
+            assert out == tuple(
+                Poly(ctx, {m: Fraction(c, d) for m, c in p.terms.items()}) for p in v)
+            for p in out:
+                for c in p.terms.values():
+                    assert c != 0
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
