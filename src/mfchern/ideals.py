@@ -9,15 +9,15 @@ Inside the engine a term ``(position, monomial)`` is one int, a packed
 exponent vector (Monagan and Pearce 2007): a field per exponent and one for
 the total degree, with the position above them, laid out so that a smaller
 int is a larger term in the position-over-term order (a lower position
-ranks higher) under every monomial order.  The packing is linear in the
-exponents: a term times a monomial is one ``+``, the quotient of two
-monomials one ``-``, and whether a lead divides a term is one subtraction
-masked by the fields' guard bits.  Vectors are term dicts ``{term: int}``.
-Polys are packed only on the way in and unpacked only on the way out.  The
-field width comes from the inputs' degrees; a shift whose terms could pass
-the fields' capacity is refused with ``_Overflow``, checked once per shift
-against the degree of the generator shifted, and the run starts again at
-twice the width.
+ranks higher, then the larger monomial in degrevlex, the only monomial
+order).  The packing is linear in the exponents: a term times a monomial is
+one ``+``, the quotient of two monomials one ``-``, and whether a lead
+divides a term is one subtraction masked by the fields' guard bits.
+Vectors are term dicts ``{term: int}``.  Polys are packed only on the way
+in and unpacked only on the way out.  The field width comes from the
+inputs' degrees; a shift whose terms could pass the fields' capacity is
+refused with ``_Overflow``, checked once per shift against the degree of
+the generator shifted, and the run starts again at twice the width.
 
 The engine is fraction-free: it keeps every generator primitive over Z with
 its lead computed once.  Its reducer pops the largest remaining term off a
@@ -97,44 +97,32 @@ class _Basis:
 
     A term ``(pos, m)`` packs to ``(pos << P) + bias + sum(e_i * weights[i])``.
     Every field holds a value up to ``cap = 2^(width-1) - 1`` under a guard
-    bit.  Under degrevlex the exponent fields hold e_i, the last variable
-    highest, below a degree field holding cap - deg.  Under grlex and lex
-    every field holds cap minus its value, the first variable highest, with
-    the degree field above the exponents (grlex) or below them (lex).  So a
-    smaller int is a larger term, and the lead of a term dict is its min.  A
-    lead ``lt`` divides a term ``t`` of its position exactly when
-    ``(t - lt - one) & guard == zero``: under degrevlex no exponent field of
-    ``t - lt`` borrows, under the others none of ``lt - t`` does.
+    bit.  The exponent fields hold e_i, the last variable highest, below a
+    degree field holding cap - deg, so a smaller int is a larger term in
+    degrevlex, and the lead of a term dict is its min.  A lead ``lt``
+    divides a term ``t`` of its position exactly when no exponent field of
+    ``t - lt`` borrows: ``not (t - lt) & guard``.
 
-    ``gens[i]`` is ``(lt, lt + one, a, tail, top)`` with ``a > 0`` the
-    integer lead coefficient, ``tail`` the non-lead terms as a list of
-    ``(t, c)``, every ``c`` an int, and ``top`` the largest degree of a term
-    less the lead's, so that the generator shifted to a lead of degree d
-    stays in the fields when d + top <= cap (a graded order bounds only the
-    terms in the lead's position);
-    ``by_pos`` lists the same tuples by lead position."""
+    ``gens[i]`` is ``(lt, a, tail, top)`` with ``a > 0`` the integer lead
+    coefficient, ``tail`` the non-lead terms as a list of ``(t, c)``, every
+    ``c`` an int, and ``top`` the largest degree of a term less the lead's,
+    so that the generator shifted to a lead of degree d stays in the fields
+    when d + top <= cap (degrevlex bounds only the terms in the lead's
+    position); ``by_pos`` lists the same tuples by lead position."""
 
     def __init__(self, ctx: RingCtx, rank: int, width: int, vectors=()):
         n = ctx.nvars
         self.ctx, self.rank, self.width = ctx, rank, width
         self.cap = cap = (1 << width - 1) - 1
         self.P = width * (n + 1)
-        up = ctx.order == "degrevlex"
-        lex = ctx.order == "lex"
-        if up:
-            self.offsets = [width * i for i in range(n)]
-        else:
-            self.offsets = [width * (n - i - 1 + lex) for i in range(n)]
-        self.dshift = 0 if lex else width * n
-        sign = 1 if up else -1
-        self.weights = [(sign << s) - (1 << self.dshift) for s in self.offsets]
-        self.flip = 0 if up else sum(cap << s for s in self.offsets)
-        self.bias = (cap << self.dshift) + self.flip
+        self.dshift = width * n
+        self.offsets = [width * i for i in range(n)]
+        self.weights = [(1 << s) - (1 << self.dshift) for s in self.offsets]
+        self.bias = cap << self.dshift
         self.guard = sum(1 << s + width - 1 for s in self.offsets)
         self.emask = sum(cap << s for s in self.offsets)
         self.ones = sum(1 << s for s in self.offsets)
-        self.sum_at = 2 * min(self.offsets, default=0) + width * max(n - 1, 0)
-        self.one, self.zero = (0, 0) if up else (1, self.guard)
+        self.sum_at = width * max(n - 1, 0)
         self.gens = []
         self.by_pos = {}
         for v in vectors:
@@ -142,8 +130,8 @@ class _Basis:
 
     def unpack(self, t: int):
         """``(pos, m)`` of the term ``t``."""
-        y, cap = t ^ self.flip, self.cap
-        return t >> self.P, tuple([y >> s & cap for s in self.offsets])
+        cap = self.cap
+        return t >> self.P, tuple([t >> s & cap for s in self.offsets])
 
     def degree(self, t: int) -> int:
         return self.cap - (t >> self.dshift & self.cap)
@@ -151,8 +139,8 @@ class _Basis:
     def divides(self, i: int, t: int) -> bool:
         """The lead of generator ``i`` divides the term ``t`` and shares its
         position."""
-        lt, lo = self.gens[i][:2]
-        return lt >> self.P == t >> self.P and (t - lo) & self.guard == self.zero
+        lt = self.gens[i][0]
+        return lt >> self.P == t >> self.P and not (t - lt) & self.guard
 
     def terms(self, v) -> dict:
         """The term dict of the vector of Polys ``v``: the engine's entry
@@ -173,11 +161,10 @@ class _Basis:
         ``d``.  Each term is unpacked and divided in one walk: ``c // d``
         when ``d`` divides ``c``, else the Fraction, so the coefficients are
         canonical as they come."""
-        P, flip, offsets, cap = self.P, self.flip, self.offsets, self.cap
+        P, offsets, cap = self.P, self.offsets, self.cap
         comps = [{} for _ in range(self.rank)]
         for t, c in terms.items():
-            y = t ^ flip
-            comps[t >> P][tuple([y >> s & cap for s in offsets])] = (
+            comps[t >> P][tuple([t >> s & cap for s in offsets])] = (
                 c // d if not c % d else Fraction(c, d))
         return tuple([Poly._make(self.ctx, c) for c in comps])
 
@@ -195,7 +182,7 @@ class _Basis:
         tail = [(t, c) for t, c in terms.items() if t != lead]
         ds, cap = self.dshift, self.cap  # the degree field holds cap - deg
         top = (lead >> ds & cap) - min([t >> ds & cap for t in terms])
-        self.keep((lead, lead + self.one, terms[lead], tail, top))
+        self.keep((lead, terms[lead], tail, top))
 
     def keep(self, gen):
         """Append the engine generator ``gen`` of a basis at this width as
@@ -207,8 +194,8 @@ class _Basis:
         """The lcm of the leads of generators ``i`` and ``j``, which share a
         position; ``_Overflow`` unless their S-vector fits the fields."""
         (a, *_, topi), (b, *_, topj) = self.gens[i], self.gens[j]
-        flip, emask, guard, cap = self.flip, self.emask, self.guard, self.cap
-        ya, yb = (a ^ flip) & emask, (b ^ flip) & emask  # the exponent fields
+        emask, guard, cap = self.emask, self.guard, self.cap
+        ya, yb = a & emask, b & emask  # the exponent fields
         ge = ((ya | guard) - yb) & guard  # the guard bit of each field where ya >= yb
         sel = ge - (ge >> self.width - 1)  # that field's value bits
         m = ya & sel | yb & (emask ^ sel)
@@ -217,7 +204,7 @@ class _Basis:
         deg = m * self.ones >> self.sum_at & (cap << 1 | 1)
         if deg + max(topi, topj) > cap:
             raise _Overflow
-        return (a >> self.P << self.P) + (cap - deg << self.dshift) + (m ^ flip)
+        return (a >> self.P << self.P) + (cap - deg << self.dshift) + m
 
     def reduce(self, work: dict):
         """``(rem, s)`` with ``rem / s`` the full normal form of the integer
@@ -229,7 +216,7 @@ class _Basis:
         ``c x^t`` against a generator with lead ``a x^lt`` scales ``work``,
         ``rem`` and ``s`` by ``a / gcd(a, c)`` instead of dividing by ``a``.
         """
-        P, guard, zero, cap, by_pos = self.P, self.guard, self.zero, self.cap, self.by_pos
+        P, guard, cap, by_pos = self.P, self.guard, self.cap, self.by_pos
         rem, s = {}, 1
         heap = list(work)
         heapify(heap)
@@ -238,8 +225,8 @@ class _Basis:
             c = work.pop(t, None)
             if c is None:
                 continue
-            for lt, lo, a, tail, top in by_pos.get(t >> P, ()):
-                if (t - lo) & guard == zero:
+            for lt, a, tail, top in by_pos.get(t >> P, ()):
+                if not (t - lt) & guard:
                     if top and self.degree(t) + top > cap:
                         raise _Overflow
                     g = gcd(a, c)
@@ -260,7 +247,7 @@ class _Basis:
     def s_vector(self, i: int, j: int, lcm: int) -> dict:
         """a_j (lcm/lm_i) g_i - a_i (lcm/lm_j) g_j, both leads divided by
         their gcd, without the cancelling leads."""
-        (lti, _, ai, tail_i, _), (ltj, _, aj, tail_j, _) = self.gens[i], self.gens[j]
+        (lti, ai, tail_i, _), (ltj, aj, tail_j, _) = self.gens[i], self.gens[j]
         g = gcd(ai, aj)
         work = {}
         _add_shifted(work, lcm - lti, tail_i, aj // g)
@@ -308,7 +295,7 @@ def _reduced_basis(vectors, rank: int, ctx: RingCtx):
 
 def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
     basis = _Basis(ctx, rank, width)
-    gens, P, guard, zero = basis.gens, basis.P, basis.guard, basis.zero
+    gens, P, guard = basis.gens, basis.P, basis.guard
     at = {}  # lead position -> indices of the generators with a lead there
     pairs, pending = [], set()
 
@@ -334,7 +321,7 @@ def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
         if rank == 1 and lcm == gens[i][0] + gens[j][0] - basis.bias:
             continue  # coprime leads: the S-polynomial reduces to zero
         if any(
-            (lcm - gens[k][1]) & guard == zero and k != i and k != j
+            not (lcm - gens[k][0]) & guard and k != i and k != j
             and (max(i, k), min(i, k)) not in pending
             and (max(j, k), min(j, k)) not in pending
             for k in at[pos]
@@ -347,7 +334,7 @@ def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
     kept = [
         g for i, g in enumerate(gens)
         if not any(
-            (g[0] - gens[j][1]) & guard == zero and j != i and (gens[j][0] != g[0] or j < i)
+            not (g[0] - gens[j][0]) & guard and j != i and (gens[j][0] != g[0] or j < i)
             for j in at[g[0] >> P]
         )
     ]
@@ -359,8 +346,8 @@ def _buchberger_run(vectors, rank: int, ctx: RingCtx, width: int):
     reduced, by_pos = _Basis(ctx, rank, width), basis.by_pos
     generators = []
     for g in kept:
-        lt, _, a, tail, _ = g
-        if any((t - h[1]) & guard == zero for t, _ in tail for h in by_pos.get(t >> P, ())):
+        lt, a, tail, _ = g
+        if any(not (t - h[0]) & guard for t, _ in tail for h in by_pos.get(t >> P, ())):
             rem, s = basis.reduce(dict(tail))
             a *= s
             rem[lt] = a
@@ -446,7 +433,7 @@ def is_groebner(gb) -> bool:
         gens = basis.gens
         if any(
             basis.divides(j, t)
-            for i, (lt, _, _, tail, _) in enumerate(gens)
+            for i, (lt, _, tail, _) in enumerate(gens)
             for t in [lt] + [t for t, _ in tail]
             for j in range(len(gens)) if j != i
         ):
@@ -493,14 +480,6 @@ def module_normal_form(v, mgb: ModuleGB):
 def k_subsets(ctx: RingCtx, k: int):
     """Basis positions of Omega^k: k-subsets in lexicographic order."""
     return list(itertools.combinations(range(ctx.nvars), k))
-
-
-def _coordinates(w: Form, subsets) -> tuple:
-    """The k-form w as a vector of Omega^k, whose basis positions are the
-    k-subsets ``subsets`` of :func:`k_subsets`."""
-    vec = dict.fromkeys(subsets, Poly.zero(w.ctx))
-    vec.update(w.components)
-    return tuple(vec.values())
 
 
 def df_form(f: Poly) -> Form:
@@ -584,5 +563,5 @@ def form_normal_form(w: Form, f: Poly) -> Form:
         return Form.zero(ctx)
     mgb = _cached_df_image_gb(f, k)
     subsets = k_subsets(ctx, k)
-    nf = module_normal_form(_coordinates(w, subsets), mgb)
+    nf = module_normal_form([w.components.get(s, Poly.zero(ctx)) for s in subsets], mgb)
     return Form._make(ctx, {s: p for s, p in zip(subsets, nf) if p.terms})

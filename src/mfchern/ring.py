@@ -1,9 +1,10 @@
 """Exact arithmetic for sparse multivariate polynomials over the rationals.
 
-The ambient ring is fixed by a :class:`RingCtx` (variable names plus a
-monomial order).  Polynomials are immutable maps from exponent vectors to
-exact coefficients: an integral coefficient is stored as an ``int``, any
-other as a ``fractions.Fraction``; no floating point appears anywhere.
+The ambient ring is fixed by a :class:`RingCtx` (variable names plus the
+monomial order, which is always degrevlex).  Polynomials are immutable maps
+from exponent vectors to exact coefficients: an integral coefficient is
+stored as an ``int``, any other as a ``fractions.Fraction``; no floating
+point appears anywhere.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ Monomial = tuple
 
 Scalar = Union[int, Fraction]
 
-_ORDERS = ("degrevlex", "lex", "grlex")
+_ORDERS = ("degrevlex",)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -107,7 +108,8 @@ class Frozen:
 
 
 class RingCtx(Frozen):
-    """The polynomial ring Q[x_1..x_n] with a pinned monomial order."""
+    """The polynomial ring Q[x_1..x_n] under degrevlex, the only monomial
+    order; any other ``order`` is a RingError."""
 
     __slots__ = _fields = ("variables", "order")
 
@@ -136,25 +138,10 @@ class RingCtx(Frozen):
             raise RingError(f"unknown variable {name!r}") from None
 
     def monomial_key(self, m: Monomial):
-        """Sort key: larger key means larger monomial in self.order."""
-        if self.order == "lex":
-            return m
-        if self.order == "grlex":
-            return (sum(m), m)
-        # degrevlex: higher total degree wins; ties broken by the rightmost
-        # nonzero entry of the difference being negative.
+        """Sort key: larger key means larger monomial in degrevlex.  Higher
+        total degree wins; ties are broken by the rightmost nonzero entry of
+        the difference being negative."""
         return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """The exact quotient a / b: an int when it is integral, else a Fraction.
-
-    Plain ``/`` on two ints would give a float.
-    """
-    if type(a) is int and type(b) is int and not a % b:
-        return a // b
-    q = Fraction(a, b)
-    return q.numerator if q.denominator == 1 else q
 
 
 def _scalar(c) -> Scalar:
@@ -320,8 +307,7 @@ class Poly(Frozen):
     def monic(self) -> "Poly":
         lc = self.leading_coeff()
         return Poly._trusted(
-            self.ctx, {m: exact_div(c, lc) for m, c in self.terms.items()}
-        )
+            self.ctx, {m: Fraction(c, lc) for m, c in self.terms.items()})
 
     def substitute(self, target_ctx: RingCtx, images: "tuple[Poly, ...]") -> "Poly":
         """Evaluate under x_i -> images[i]; images live in target_ctx.

@@ -26,7 +26,7 @@ from mfchern.ideals import (
     k_subsets,
     module_buchberger,
 )
-from mfchern.ring import RingCtx, RingError
+from mfchern.ring import RingError
 
 from conftest import corpus_list, rand_poly, ring
 
@@ -401,21 +401,19 @@ def assert_monic_and_canonical(vectors):
 
 
 class TestIntegerEngine:
-    @pytest.mark.parametrize("order,sympy_order", [
-        ("degrevlex", "grevlex"), ("grlex", "grlex"), ("lex", "lex"),
-    ])
-    def test_rational_ideals_match_sympy(self, order, sympy_order):
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_rational_ideals_match_sympy(self, seed):
         sympy = pytest.importorskip("sympy")
-        rng = random.Random(61)
+        rng = random.Random(seed)
         for trial in range(12):
-            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            ctx = CTX2 if trial % 2 else CTX3
             xs = sympy.symbols(ctx.variables)
             gens = [rand_rational_poly(rng, ctx) for _ in range(rng.randint(2, 3))]
             gb = buchberger(gens, ctx)
             assert is_groebner(gb)
             assert_monic_and_canonical([(g,) for g in gb.generators])
             # the reduced basis and the normal forms are unique
-            ref = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order=sympy_order)
+            ref = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order="grevlex")
             assert {to_sympy(g, xs) for g in gb.generators} == set(ref.exprs)
             for _ in range(4):
                 p = rand_rational_poly(rng, ctx, max_deg=3, max_terms=4)
@@ -488,14 +486,14 @@ class TestIntegerEngine:
 # the df-image generators built without wedge
 # ---------------------------------------------------------------------------
 
-ORDERS = [("degrevlex", "grevlex"), ("grlex", "grlex"), ("lex", "lex")]
+SEEDS = range(3)
 
 
 class TestPackedEngine:
-    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
-    def test_divisibility_and_lcm_follow_the_exponents(self, order):
-        rng = random.Random(f"swar:{order}")
-        ctx = RingCtx(("x", "y", "z", "w"), order)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_divisibility_and_lcm_follow_the_exponents(self, seed):
+        rng = random.Random(f"swar:{seed}")
+        ctx = CTX4
         for width in (3, 4, 6):
             cap = (1 << width - 1) - 1
             for _ in range(150):
@@ -512,6 +510,21 @@ class TestPackedEngine:
                 assert basis.divides(0, key_b) == all(i <= j for i, j in zip(a, b))
                 assert basis.unpack(basis.lcm(0, 1)) == (0, tuple(map(max, a, b)))
 
+    @pytest.mark.parametrize("width,texts,keys", [
+        (3, ["1", "x + y^2 - z^3", "x*y*z"],
+         {1536: 1, 5121: 1, 4624: 1, 4288: -1, 8265: 1}),
+        (4, ["x^3*y - 2*z + 5", "0", "y^7"],
+         {12307: 1, 24832: -2, 28672: 5, 131184: 1}),
+        (8, ["x^100*z^20 + 3*y^2", "x - 1/2*y*z", "z^127"],
+         {118751332: 1, 2097152512: 3, 6408896513: 1,
+          6392185088: Fraction(-1, 2), 8598257664: 1}),
+    ], ids=["width3", "width4", "width8"])
+    def test_packed_keys_are_pinned(self, width, texts, keys):
+        # the layout of a packed term, pinned: exponent fields from low to
+        # high under the field holding cap - deg, the position above them
+        basis = ideals_module._Basis(CTX3, len(texts), width)
+        assert basis.terms([parse_poly(t, CTX3) for t in texts]) == keys
+
     def test_an_lcm_past_the_fields_overflows(self):
         basis = ideals_module._Basis(
             CTX2, 1, 3, [(parse_poly("x^3", CTX2),), (parse_poly("y^3", CTX2),)])
@@ -519,21 +532,21 @@ class TestPackedEngine:
         with pytest.raises(ideals_module._Overflow):
             basis.lcm(0, 1)
 
-    @pytest.mark.parametrize("order,sympy_order", ORDERS)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_widening_from_the_narrowest_fields_reaches_sympys_basis(
-            self, monkeypatch, order, sympy_order):
+            self, monkeypatch, seed):
         sympy = pytest.importorskip("sympy")
         monkeypatch.setattr(ideals_module, "_start_width", lambda *inputs: 2)
-        rng = random.Random(f"widen:{order}")
+        rng = random.Random(f"widen:{seed}")
         for trial in range(6):
-            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            ctx = CTX2 if trial % 2 else CTX3
             xs = sympy.symbols(ctx.variables)
             gens = [rand_rational_poly(rng, ctx, max_deg=3) for _ in range(rng.randint(2, 3))]
             gb = buchberger(gens, ctx)
             assert gb._basis.width > 2  # the run started over, wider
             assert is_groebner(gb)
             ref = sympy.groebner(
-                [to_sympy(g, xs) for g in gens], *xs, order=sympy_order, domain="QQ")
+                [to_sympy(g, xs) for g in gens], *xs, order="grevlex", domain="QQ")
             assert {to_sympy(g, xs) for g in gb.generators} == set(ref.exprs)
             for _ in range(3):
                 p = rand_rational_poly(rng, ctx, max_deg=5, max_terms=4)
@@ -578,11 +591,10 @@ class TestPackedEngine:
         for k in range(1, 5):
             assert ideals_module._df_image_vectors(f, k) == df_image_vectors(f, k)
 
-    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
-    def test_a_tail_above_the_leads_degree_widens(self, order):
+    def test_a_tail_above_the_leads_degree_widens(self):
         # in position-over-term order a tail in a later position may have a
-        # higher degree than the lead, whatever the monomial order
-        ctx = RingCtx(("x",), order)
+        # higher degree than the lead
+        ctx = ring("x")
         one, x6 = Poly.one(ctx), Poly(ctx, {(6,): 1})
         mgb = module_buchberger([(one, x6)], 2, ctx)
         width = mgb._basis.width
@@ -597,9 +609,9 @@ class TestPackedEngine:
 # ---------------------------------------------------------------------------
 
 def engine_form(gens):
-    """Engine generators ``(lt, lt + one, a, tail, top)``, each tail as a
-    dict: its order is not part of the basis."""
-    return [(lt, lo, a, dict(tail), top) for lt, lo, a, tail, top in gens]
+    """Engine generators ``(lt, a, tail, top)``, each tail as a dict: its
+    order is not part of the basis."""
+    return [(lt, a, dict(tail), top) for lt, a, tail, top in gens]
 
 
 def assert_run_basis_is_the_repacked_generators(gb):
@@ -615,11 +627,11 @@ def assert_run_basis_is_the_repacked_generators(gb):
 
 
 class TestFinish:
-    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
-    def test_random_modules_hand_over_their_public_generators(self, order):
-        rng = random.Random(f"finish:{order}")
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_modules_hand_over_their_public_generators(self, seed):
+        rng = random.Random(f"finish:{seed}")
         for trial in range(10):
-            ctx = RingCtx(("x", "y") if trial % 2 else ("x", "y", "z"), order)
+            ctx = CTX2 if trial % 2 else CTX3
             rank = 1 + trial % 3
             gens = [
                 tuple(rand_rational_poly(rng, ctx) for _ in range(rank))
@@ -659,10 +671,10 @@ class TestFinish:
 
 
 class TestExitEdge:
-    @pytest.mark.parametrize("order", [o for o, _ in ORDERS])
-    def test_vector_divides_to_canonical_coefficients(self, order):
-        rng = random.Random(f"exit:{order}")
-        ctx = RingCtx(("x", "y", "z"), order)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_vector_divides_to_canonical_coefficients(self, seed):
+        rng = random.Random(f"exit:{seed}")
+        ctx = CTX3
         for trial in range(60):
             rank = rng.randint(1, 4)
             d = rng.choice((1, 1, 2, 6, 12, 35))

@@ -281,16 +281,32 @@ class TestOrder:
         ms = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         ordered = sorted(ms, key=c.monomial_key, reverse=True)
         assert ordered == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
+        # the classic pair that separates degrevlex from grlex: x*y^2*z
+        # ranks above x^2*z^2 (both degree 4), its exponent of z being smaller
+        assert CTX.monomial_key((1, 2, 1)) > CTX.monomial_key((2, 0, 2))
 
-    @pytest.mark.parametrize("order", ["degrevlex", "grlex", "lex"])
-    def test_packed_terms_follow_the_position_over_term_order(self, order):
+    @pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+    def test_degrevlex_is_the_only_order(self, order):
+        with pytest.raises(RingError, match=f"unknown monomial order {order!r}"):
+            RingCtx(("x", "y"), order)
+
+    def test_the_default_order_is_degrevlex(self):
+        default, named = RingCtx(("x", "y")), RingCtx(("x", "y"), "degrevlex")
+        assert default == named and hash(default) == hash(named)
+        assert repr(default) == repr(named) == "RingCtx(('x', 'y'), 'degrevlex')"
+        for ctx in (default, named):
+            back = pickle.loads(pickle.dumps(ctx))
+            assert back == default and repr(back) == repr(default)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_terms_follow_the_position_over_term_order(self, seed):
         # the Groebner engine packs a term (pos, m) into one int, and a
         # smaller int must be a larger term: lower position first, then the
         # larger monomial
         from mfchern.ideals import _Basis
 
-        rng = random.Random(f"packed:{order}")
-        ctx = RingCtx(("x", "y", "z", "w"), order)
+        rng = random.Random(f"packed:{seed}")
+        ctx = RingCtx(("x", "y", "z", "w"))
         for width in (3, 5, 8):
             basis = _Basis(ctx, 6, width)
 
@@ -311,19 +327,21 @@ class TestOrder:
             assert sorted(terms, key=packed) == want
             assert [basis.unpack(packed(t)) for t in want] == want
 
-    def test_degrevlex_vs_grlex_differ(self):
-        c = ring("x", "y", "z")
-        # classic separating pair: x*y^2*z vs x^2*z^2 (both degree 4)
-        a, b = (1, 2, 1), (2, 0, 2)
-        assert c.monomial_key(a) > c.monomial_key(b)
-        g = ring("x", "y", "z")
-        g = RingCtx(g.variables, order="grlex")
-        assert g.monomial_key(a) < g.monomial_key(b)
-
     def test_leading_monomial(self):
         p = parse_poly("x + y^2", CTX)
         assert p.leading_monomial() == (0, 2, 0)
         assert p.monic() == p
+
+    def test_monic_divides_by_a_non_unit_lead(self):
+        p = parse_poly("2*x + 3", CTX).monic()
+        assert p == parse_poly("x + 3/2", CTX)
+        # canonical coefficients: an int where integral, else a Fraction
+        assert p.terms == {(1, 0, 0): 1, (0, 0, 0): Fraction(3, 2)}
+        assert {m: type(c) for m, c in p.terms.items()} == {
+            (1, 0, 0): int, (0, 0, 0): Fraction}
+        q = parse_poly("-2/3*y^2 + 4/3*x", CTX).monic()
+        assert q.terms == {(0, 2, 0): 1, (1, 0, 0): -2}
+        assert all(type(c) is int for c in q.terms.values())
 
     def test_print_is_sorted_descending(self):
         p = parse_poly("y + x^2 + 1", CTX)
